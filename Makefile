@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet test race stress bench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
+.PHONY: check build vet test race stress perfbench bench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
 
 # check is the CI entry point: build everything, vet, run the suite under
 # the race detector (-short: the stress tests are excluded there), then
 # re-run the concurrency stress tests twice to shake out
-# scheduling-dependent interleavings, and finally scrape /metrics off a
+# scheduling-dependent interleavings, vet and test the nested benchmark
+# module, and finally scrape /metrics off a
 # live server to prove the exposition parses end to end. Every test run
 # carries an explicit -timeout so a hung solve fails fast with a goroutine
 # dump instead of stalling CI at the per-package default.
-check: build vet race stress metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
+check: build vet race stress perfbench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
 
 build:
 	$(GO) build ./...
@@ -25,6 +26,12 @@ race:
 
 stress:
 	$(GO) test -race -run TestStress -count=2 -timeout 10m ./...
+
+# perfbench vets and tests the benchmark harness, a nested module
+# (perfbench/go.mod) that the root ./... patterns skip, so an engine API
+# change that breaks the benchmark build fails the gate.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -timeout 5m ./...
 
 # metricscheck boots a real iqserver and validates its /metrics output with
 # iqtool -scrape-metrics (a built-in Prometheus text parser — no curl or

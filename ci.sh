@@ -11,6 +11,10 @@ go build ./...
 go vet ./...
 go test -race -short -timeout 5m ./...
 go test -race -run TestStress -count=2 -timeout 10m ./...
+# The benchmark harness is a nested module (perfbench/go.mod), so the root
+# ./... patterns skip it; build and test it on its own so an engine API
+# change that breaks the benchmark fails here.
+(cd perfbench && go vet ./... && go test -timeout 5m ./...)
 # Live observability gate: boot a real iqserver and validate its /metrics
 # exposition with iqtool's built-in parser (fails on unparseable output or
 # a registry with no engine series).

@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
-	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
-	"iq/internal/vec"
 )
 
 // MaxHitRequest describes a Max-Hit Improvement Query (Definition 3): hit as
@@ -48,51 +45,33 @@ func MaxHitIQ(idx *subdomain.Index, req MaxHitRequest) (*Result, error) {
 // (triangle inequality), so the cumulative check is both more faithful to
 // the definition and never worse.
 func MaxHitIQCtx(ctx context.Context, idx *subdomain.Index, req MaxHitRequest) (*Result, error) {
-	start := time.Now()
-	ctx, span := startSolveSpan(ctx, "maxhit")
-	rec := newRecorder()
-	res, err := maxHitSolve(ctx, idx, req, rec)
-	rounds := 0
-	if res != nil {
-		rounds = res.Iterations
-	}
-	st := finishSolve(ctx, "maxhit", req.Target, start, rec, rounds, err)
-	endSolveSpan(span, st, err)
-	if res != nil {
-		res.Stats = st
-	}
-	return res, err
+	return MaxHitViews(ctx, []ShardView{{Idx: idx}}, req)
 }
 
-func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, rec *recorder) (*Result, error) {
-	if err := validateCommon(idx, req.Target, req.Cost); err != nil {
-		return nil, err
-	}
-	if req.Budget < 0 {
-		return nil, fmt.Errorf("core: negative budget %g", req.Budget)
-	}
-	if err := CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	w := idx.Workload()
-	pool, release, err := AcquireEvaluators(ctx, idx, req.Target, req.Workers)
+// MaxHitViews answers a Max-Hit improvement query over a workload laid out
+// as shard views (see ShardView); results are bit-identical at any view
+// count.
+func MaxHitViews(ctx context.Context, views []ShardView, req MaxHitRequest) (*Result, error) {
+	return runSolve(ctx, "maxhit", views, req.Target, func(ctx context.Context, ss *shardSolver, rec *recorder) (*Result, error) {
+		return maxHitSolve(ctx, ss, req, rec)
+	})
+}
+
+func maxHitSolve(ctx context.Context, ss *shardSolver, req MaxHitRequest, rec *recorder) (*Result, error) {
+	res, err := ss.start(ctx, req.Cost, req.Workers, func() error {
+		if req.Budget < 0 {
+			return fmt.Errorf("core: negative budget %g", req.Budget)
+		}
+		return CtxErr(ctx)
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	ev := pool[0]
-	d := len(w.Attrs(req.Target))
-	res := &Result{Strategy: vec.New(d), BaseHits: ev.BaseHits(), Hits: ev.BaseHits()}
-
-	cur := vec.New(d)
-	hit := bitset.New(w.NumQueries())
-	ev.BaseHitSet(hit)
-	curHits := ev.BaseHits()
-	rs := &roundScratch{}
+	defer ss.close()
 
 	for {
 		res.Iterations++
-		if res.Iterations > w.NumQueries()+8 {
+		if res.Iterations > ss.nq+8 {
 			break
 		}
 		if err := checkpoint(ctx, "maxhit", res.Iterations); err != nil {
@@ -102,30 +81,23 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		cands, err := generateCandidates(rctx, idx, pool, req.Target, cur, hit, req.Cost, req.Bounds, rs, rec)
+		cands, err := ss.round(rctx, res.Strategy, req.Cost, req.Bounds, rec)
 		if err != nil {
 			rsp.End()
 			return nil, err
 		}
 		res.Evaluations += len(cands)
-		best, ok := bestRatio(cands, curHits)
+		best, ok := bestRatio(cands, res.Hits)
 		if !ok {
 			rsp.End()
 			break // no candidate gains hits: every query hit or infeasible
 		}
 		if best.Cost <= req.Budget {
-			cur = best.Strategy
-			curHits = best.Hits
-			coeff, err := w.Space().Embed(vec.Add(w.Attrs(req.Target), cur))
-			if err != nil {
+			if err := ss.adopt(res, best, req.Cost); err != nil {
 				rsp.End()
 				return res, err
 			}
-			ev.HitSetBits(coeff, hit)
-			res.Strategy = vec.Clone(cur)
-			res.Cost = req.Cost.Of(cur)
-			res.Hits = curHits
-			rsp.SetAttr("hits", curHits)
+			rsp.SetAttr("hits", res.Hits)
 			rsp.End()
 			continue
 		}
@@ -133,7 +105,10 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// the remaining candidates; apply the first that fits and
 		// re-enter the loop in case the new position unlocks more. Equal
 		// costs order by query index so the pass is deterministic at any
-		// worker count (see DESIGN.md, "Deterministic parallelism").
+		// worker or shard count (see DESIGN.md, "Deterministic
+		// parallelism"): (Cost, Query) is a total order over unique query
+		// indices, so a shard-major candidate slice sorts into exactly the
+		// one-view sequence.
 		sort.SliceStable(cands, func(a, b int) bool {
 			if cands[a].Cost != cands[b].Cost {
 				return cands[a].Cost < cands[b].Cost
@@ -142,24 +117,17 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		})
 		applied := false
 		for _, c := range cands {
-			if c.Hits <= curHits || c.Cost > req.Budget {
+			if c.Hits <= res.Hits || c.Cost > req.Budget {
 				continue
 			}
-			cur = c.Strategy
-			curHits = c.Hits
-			coeff, err := w.Space().Embed(vec.Add(w.Attrs(req.Target), cur))
-			if err != nil {
+			if err := ss.adopt(res, c, req.Cost); err != nil {
 				rsp.End()
 				return res, err
 			}
-			ev.HitSetBits(coeff, hit)
-			res.Strategy = vec.Clone(cur)
-			res.Cost = req.Cost.Of(cur)
-			res.Hits = curHits
 			applied = true
 			break
 		}
-		rsp.SetAttr("hits", curHits)
+		rsp.SetAttr("hits", res.Hits)
 		rsp.End()
 		if !applied {
 			break // nothing affordable gains a hit

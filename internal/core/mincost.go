@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
-	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
 	"iq/internal/vec"
@@ -71,57 +69,39 @@ func MinCostIQ(idx *subdomain.Index, req MinCostRequest) (*Result, error) {
 // it. Cancellation is observed at every greedy round and inside the
 // candidate fan-out; a cancelled solve discards its partial strategy and
 // returns a nil Result with ErrCanceled/ErrDeadlineExceeded wrapping
-// ctx.Err().
+// ctx.Err(). It is MinCostViews over the one view idx.
 func MinCostIQCtx(ctx context.Context, idx *subdomain.Index, req MinCostRequest) (*Result, error) {
-	start := time.Now()
-	ctx, span := startSolveSpan(ctx, "mincost")
-	rec := newRecorder()
-	res, err := minCostSolve(ctx, idx, req, rec)
-	rounds := 0
-	if res != nil {
-		rounds = res.Iterations
-	}
-	st := finishSolve(ctx, "mincost", req.Target, start, rec, rounds, err)
-	endSolveSpan(span, st, err)
-	if res != nil {
-		res.Stats = st
-	}
-	return res, err
+	return MinCostViews(ctx, []ShardView{{Idx: idx}}, req)
 }
 
-func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest, rec *recorder) (*Result, error) {
-	if err := validateCommon(idx, req.Target, req.Cost); err != nil {
-		return nil, err
-	}
-	if err := CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	w := idx.Workload()
-	if req.Tau < 0 {
-		return nil, fmt.Errorf("core: negative tau %d", req.Tau)
-	}
-	if req.Tau > w.NumQueries() {
-		return nil, fmt.Errorf("core: tau %d exceeds query count %d: %w", req.Tau, w.NumQueries(), ErrGoalUnreachable)
-	}
-	pool, release, err := AcquireEvaluators(ctx, idx, req.Target, req.Workers)
+// MinCostViews answers a Min-Cost improvement query over a workload laid out
+// as shard views (see ShardView); results are bit-identical at any view
+// count.
+func MinCostViews(ctx context.Context, views []ShardView, req MinCostRequest) (*Result, error) {
+	return runSolve(ctx, "mincost", views, req.Target, func(ctx context.Context, ss *shardSolver, rec *recorder) (*Result, error) {
+		return minCostSolve(ctx, ss, req, rec)
+	})
+}
+
+func minCostSolve(ctx context.Context, ss *shardSolver, req MinCostRequest, rec *recorder) (*Result, error) {
+	res, err := ss.start(ctx, req.Cost, req.Workers, func() error {
+		if err := CtxErr(ctx); err != nil {
+			return err
+		}
+		if req.Tau < 0 {
+			return fmt.Errorf("core: negative tau %d", req.Tau)
+		}
+		if req.Tau > ss.nq {
+			return fmt.Errorf("core: tau %d exceeds query count %d: %w", req.Tau, ss.nq, ErrGoalUnreachable)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	ev := pool[0]
-	d := len(w.Attrs(req.Target))
-	res := &Result{Strategy: vec.New(d), BaseHits: ev.BaseHits(), Hits: ev.BaseHits()}
-	if res.Hits >= req.Tau {
-		return res, nil // already satisfied with the zero strategy
-	}
+	defer ss.close()
 
-	cur := vec.New(d)
-	hit := bitset.New(w.NumQueries())
-	ev.BaseHitSet(hit)
-	curHits := ev.BaseHits()
-	rs := &roundScratch{}
-
-	for curHits < req.Tau {
+	for res.Hits < req.Tau {
 		res.Iterations++
 		if err := checkpoint(ctx, "mincost", res.Iterations); err != nil {
 			return nil, err
@@ -130,16 +110,16 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		cands, err := generateCandidates(rctx, idx, pool, req.Target, cur, hit, req.Cost, req.Bounds, rs, rec)
+		cands, err := ss.round(rctx, res.Strategy, req.Cost, req.Bounds, rec)
 		if err != nil {
 			rsp.End()
 			return nil, err
 		}
 		res.Evaluations += len(cands)
-		best, ok := bestRatio(cands, curHits)
+		best, ok := bestRatio(cands, res.Hits)
 		if !ok {
 			rsp.End()
-			return res, fmt.Errorf("core: stalled at %d of %d hits: %w", curHits, req.Tau, ErrGoalUnreachable)
+			return res, fmt.Errorf("core: stalled at %d of %d hits: %w", res.Hits, req.Tau, ErrGoalUnreachable)
 		}
 		if best.Hits > req.Tau {
 			// Anti-overshoot (Algorithm 3 lines 10–13): prefer the
@@ -159,20 +139,13 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 				best = cheapest
 			}
 		}
-		cur = best.Strategy
-		curHits = best.Hits
-		coeff, err := w.Space().Embed(vec.Add(w.Attrs(req.Target), cur))
-		if err != nil {
+		if err := ss.adopt(res, best, req.Cost); err != nil {
 			rsp.End()
 			return res, err
 		}
-		ev.HitSetBits(coeff, hit)
-		res.Strategy = vec.Clone(cur)
-		res.Cost = req.Cost.Of(cur)
-		res.Hits = curHits
-		rsp.SetAttr("hits", curHits)
+		rsp.SetAttr("hits", res.Hits)
 		rsp.End()
-		if res.Iterations > w.NumQueries()+req.Tau+8 {
+		if res.Iterations > ss.nq+req.Tau+8 {
 			return res, fmt.Errorf("core: iteration guard tripped: %w", ErrGoalUnreachable)
 		}
 	}

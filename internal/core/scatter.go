@@ -1,10 +1,16 @@
 package core
 
-// This file is the scatter-gather entry point for sharded solves. A sharded
-// iq.System partitions the query workload by query-space position into N
-// shard indexes (every shard sees all objects, each query lives in exactly
-// one shard), and the coordinator below runs the SAME greedy loops as
-// minCostSolve/maxHitSolve over the union:
+// This file is the coordinator every single-target solve runs through. The
+// greedy loops of Algorithms 3 and 4 (mincost.go, maxhit.go) see the
+// workload as a list of ShardViews and ask the coordinator for one round of
+// candidates at a time. The monolithic engine is the one-view case: a round
+// is one generateCandidates call on the caller's goroutine whose slice is
+// returned as-is — no scatter goroutine, no flatten copy, no gather, no
+// per-shard accounting.
+//
+// A sharded iq.System partitions the query workload by query-space position
+// into N shard indexes (every shard sees all objects, each query lives in
+// exactly one shard); with N views a round is:
 //
 //   scatter — one generateCandidates per shard, concurrently. Each shard
 //     probes only its own unhit queries, so the union of per-shard probes is
@@ -25,15 +31,14 @@ package core
 //     equals the monolithic winner. The winner's hit set is fanned back out
 //     (one HitSetBits per shard over the shard-local bitset).
 //
-// Together with identical iteration counting, cancellation checkpoints, and
-// guard thresholds (always against the GLOBAL query count), results are
-// bit-identical to the 1-shard engine at any shard and worker count — the
-// property test in the root package holds this line.
+// Iteration counting, cancellation checkpoints, and guard thresholds (always
+// against the GLOBAL query count) are shared by construction, so results are
+// bit-identical at any shard and worker count — the property test in the
+// root package holds this line.
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -50,15 +55,16 @@ import (
 // mapping from shard-local query index to global query index. Tombstoned
 // queries keep their slots on both sides, so len(GlobalQ) equals the shard
 // workload's query count and the GlobalQ values across shards partition
-// [0, global query count).
+// [0, global query count). A lone view is the whole workload; its GlobalQ
+// is never read and may be nil.
 type ShardView struct {
 	Idx     *subdomain.Index
 	GlobalQ []int
 }
 
-// shardSolver carries the per-shard state one scatter-gather solve reuses
-// across greedy rounds: evaluator pools, shard-local hit bitsets, probe
-// scratch, and per-shard busy-time accounting.
+// shardSolver carries the per-shard state one solve reuses across greedy
+// rounds: evaluator pools, shard-local hit bitsets, probe scratch, and (with
+// more than one view) per-shard busy-time accounting.
 type shardSolver struct {
 	views  []ShardView
 	target int
@@ -67,26 +73,21 @@ type shardSolver struct {
 	rel    []func()
 	hit    []*bitset.Bits
 	rs     []*roundScratch
-	busy   []int64 // ns of shard-local work, indexed by shard
+	busy   []int64 // ns of shard-local work, indexed by shard; nil for one view
 }
 
 func newShardSolver(views []ShardView, target int) *shardSolver {
-	nq := 0
+	ss := &shardSolver{views: views, target: target}
 	for _, v := range views {
-		nq += v.Idx.Workload().NumQueries()
+		ss.nq += v.Idx.Workload().NumQueries()
 	}
-	return &shardSolver{
-		views:  views,
-		target: target,
-		nq:     nq,
-		busy:   make([]int64, len(views)),
-	}
+	return ss
 }
 
 // acquire checks out one evaluator pool per shard (each keyed by the shard's
 // index, so the cross-solve caches stay per-shard) and seeds the shard-local
-// base hit sets. workers bounds the per-shard probe fan-out, exactly as it
-// bounds the monolithic solver's.
+// base hit sets. workers bounds the per-shard probe fan-out. Busy-time
+// accounting starts once every shard is acquired.
 func (ss *shardSolver) acquire(ctx context.Context, workers int) error {
 	n := len(ss.views)
 	ss.pools = make([][]*ese.Evaluator, n)
@@ -105,6 +106,9 @@ func (ss *shardSolver) acquire(ctx context.Context, workers int) error {
 		pool[0].BaseHitSet(ss.hit[t])
 		ss.rs[t] = &roundScratch{}
 	}
+	if n > 1 {
+		ss.busy = make([]int64, n)
+	}
 	return nil
 }
 
@@ -115,22 +119,49 @@ func (ss *shardSolver) close() {
 	ss.rel = nil
 }
 
-// baseHits sums the per-shard base hit counts. Every query is owned by
-// exactly one shard and every shard sees the full object table, so the sum
-// equals the monolithic BaseHits.
-func (ss *shardSolver) baseHits() int {
-	total := 0
-	for t := range ss.views {
-		total += ss.pools[t][0].BaseHits()
+// charge adds the time since t0 to shard t's busy total (multi-view only).
+func (ss *shardSolver) charge(t int, t0 time.Time) {
+	if ss.busy != nil {
+		ss.busy[t] += time.Since(t0).Nanoseconds()
 	}
-	return total
 }
 
-// scatterRound runs one greedy round's candidate generation across all
-// shards and gathers the results into one candidate list with GLOBAL query
-// indices and GLOBAL hit counts. The returned slice is freshly allocated
-// per round (candidates survive into the solvers' fill passes).
-func (ss *shardSolver) scatterRound(ctx context.Context, cur vec.Vector, cost Cost, bounds *Bounds, rec *recorder) ([]Candidate, error) {
+// start validates the request parts every solve shares, acquires the
+// evaluators, and returns the zero-strategy result. Every shard workload
+// holds the full object table, so shard 0 answers the target checks; every
+// query is owned by exactly one shard, so the base hit counts sum to the
+// global one. check runs between the shared validation and the evaluator
+// build, in the order the solver's error precedence needs.
+func (ss *shardSolver) start(ctx context.Context, cost Cost, workers int, check func() error) (*Result, error) {
+	if len(ss.views) == 0 {
+		return nil, fmt.Errorf("core: sharded solve with no shards")
+	}
+	if err := validateCommon(ss.views[0].Idx, ss.target, cost); err != nil {
+		return nil, err
+	}
+	if err := check(); err != nil {
+		return nil, err
+	}
+	if err := ss.acquire(ctx, workers); err != nil {
+		return nil, err
+	}
+	base := 0
+	for t := range ss.views {
+		base += ss.pools[t][0].BaseHits()
+	}
+	d := len(ss.views[0].Idx.Workload().Attrs(ss.target))
+	return &Result{Strategy: vec.New(d), BaseHits: base, Hits: base}, nil
+}
+
+// round runs one greedy round's candidate generation and returns the
+// candidates with GLOBAL query indices and GLOBAL hit counts. With one view
+// the slice aliases that view's roundScratch and is overwritten by the next
+// round; with several it is freshly allocated. Strategies inside are
+// freshly allocated per probe either way.
+func (ss *shardSolver) round(ctx context.Context, cur vec.Vector, cost Cost, bounds *Bounds, rec *recorder) ([]Candidate, error) {
+	if len(ss.views) == 1 {
+		return generateCandidates(ctx, ss.views[0].Idx, ss.pools[0], ss.target, cur, ss.hit[0], cost, bounds, ss.rs[0], rec)
+	}
 	n := len(ss.views)
 	sctx, ssp := obs.StartSpan(ctx, "scatter")
 	ssp.SetAttr("shards", n)
@@ -144,7 +175,7 @@ func (ss *shardSolver) scatterRound(ctx context.Context, cur vec.Vector, cost Co
 			t0 := time.Now()
 			perShard[t], errs[t] = generateCandidates(sctx, ss.views[t].Idx,
 				ss.pools[t], ss.target, cur, ss.hit[t], cost, bounds, ss.rs[t], rec)
-			ss.busy[t] += time.Since(t0).Nanoseconds()
+			ss.charge(t, t0)
 		}(t)
 	}
 	wg.Wait()
@@ -209,7 +240,7 @@ func (ss *shardSolver) scatterRound(ctx context.Context, cur vec.Vector, cost Co
 				}
 			}
 			contrib[t] = ct
-			ss.busy[t] += time.Since(t0).Nanoseconds()
+			ss.charge(t, t0)
 		}(t)
 	}
 	gw.Wait()
@@ -227,262 +258,53 @@ func (ss *shardSolver) scatterRound(ctx context.Context, cur vec.Vector, cost Co
 	return flat, nil
 }
 
-// apply fans the winning strategy's hit set back out: every shard refreshes
-// its local bitset from the shared improved coefficients (HitSetBits only
-// reads coeff).
-func (ss *shardSolver) apply(coeff vec.Vector) {
+// adopt makes candidate c the solve's current strategy: every shard
+// refreshes its local hit bitset from the improved coefficients (HitSetBits
+// only reads coeff), then res takes c's strategy, cost, and hits. On an
+// embedding error res is left untouched.
+func (ss *shardSolver) adopt(res *Result, c Candidate, cost Cost) error {
+	w := ss.views[0].Idx.Workload()
+	coeff, err := w.Space().Embed(vec.Add(w.Attrs(ss.target), c.Strategy))
+	if err != nil {
+		return err
+	}
 	for t := range ss.views {
 		t0 := time.Now()
 		ss.pools[t][0].HitSetBits(coeff, ss.hit[t])
-		ss.busy[t] += time.Since(t0).Nanoseconds()
+		ss.charge(t, t0)
 	}
+	res.Strategy = vec.Clone(c.Strategy)
+	res.Cost = cost.Of(c.Strategy)
+	res.Hits = c.Hits
+	return nil
 }
 
-// recordShardSolve publishes the per-shard solve counters and busy time.
-func recordShardSolve(busy []int64) {
-	for t, ns := range busy {
+// runSolve wraps one greedy solve with the solve span, the work-profile
+// recorder, and the solve metrics. Multi-view solves also report their
+// per-shard busy time (SolveStats.ShardBusy and the iq_shard_* counters).
+func runSolve(ctx context.Context, op string, views []ShardView, target int,
+	solve func(ctx context.Context, ss *shardSolver, rec *recorder) (*Result, error)) (*Result, error) {
+	start := time.Now()
+	ctx, span := startSolveSpan(ctx, op)
+	rec := newRecorder()
+	ss := newShardSolver(views, target)
+	res, err := solve(ctx, ss, rec)
+	rounds := 0
+	if res != nil {
+		rounds = res.Iterations
+	}
+	st := finishSolve(ctx, op, target, start, rec, rounds, err)
+	st.ShardBusy = ss.busy
+	endSolveSpan(span, st, err)
+	for t, ns := range ss.busy {
 		shard := strconv.Itoa(t)
 		obs.Default.Counter("iq_shard_solves_total",
 			"Scatter-gather solves that touched this shard.", "shard", shard).Inc()
 		obs.Default.Counter("iq_shard_busy_nanoseconds_total",
 			"Shard-local busy time inside scatter-gather solves.", "shard", shard).Add(ns)
 	}
-}
-
-// ShardedMinCostIQCtx answers a Min-Cost improvement query over a sharded
-// workload with the scatter-gather coordinator. Semantics, cancellation
-// behavior, and results are bit-identical to MinCostIQCtx over the
-// equivalent monolithic index.
-func ShardedMinCostIQCtx(ctx context.Context, views []ShardView, req MinCostRequest) (*Result, error) {
-	start := time.Now()
-	ctx, span := startSolveSpan(ctx, "mincost")
-	rec := newRecorder()
-	res, busy, err := shardedMinCostSolve(ctx, views, req, rec)
-	rounds := 0
-	if res != nil {
-		rounds = res.Iterations
-	}
-	st := finishSolve(ctx, "mincost", req.Target, start, rec, rounds, err)
-	st.ShardBusy = busy
-	endSolveSpan(span, st, err)
-	if busy != nil {
-		recordShardSolve(busy)
-	}
 	if res != nil {
 		res.Stats = st
 	}
 	return res, err
-}
-
-func shardedMinCostSolve(ctx context.Context, views []ShardView, req MinCostRequest, rec *recorder) (*Result, []int64, error) {
-	if len(views) == 0 {
-		return nil, nil, fmt.Errorf("core: sharded solve with no shards")
-	}
-	// Validation mirrors minCostSolve exactly (messages included): every
-	// shard workload holds the full object table, so shard 0 answers the
-	// target checks, and tau checks run against the global query count.
-	if err := validateCommon(views[0].Idx, req.Target, req.Cost); err != nil {
-		return nil, nil, err
-	}
-	if err := CtxErr(ctx); err != nil {
-		return nil, nil, err
-	}
-	ss := newShardSolver(views, req.Target)
-	if req.Tau < 0 {
-		return nil, nil, fmt.Errorf("core: negative tau %d", req.Tau)
-	}
-	if req.Tau > ss.nq {
-		return nil, nil, fmt.Errorf("core: tau %d exceeds query count %d: %w", req.Tau, ss.nq, ErrGoalUnreachable)
-	}
-	if err := ss.acquire(ctx, req.Workers); err != nil {
-		return nil, nil, err
-	}
-	defer ss.close()
-	w := views[0].Idx.Workload()
-	d := len(w.Attrs(req.Target))
-	base := ss.baseHits()
-	res := &Result{Strategy: vec.New(d), BaseHits: base, Hits: base}
-	if res.Hits >= req.Tau {
-		return res, ss.busy, nil // already satisfied with the zero strategy
-	}
-
-	cur := vec.New(d)
-	curHits := base
-
-	for curHits < req.Tau {
-		res.Iterations++
-		if err := checkpoint(ctx, "mincost", res.Iterations); err != nil {
-			return nil, ss.busy, err
-		}
-		rctx, rsp := obs.StartSpan(ctx, "round")
-		rsp.SetAttr("round", res.Iterations)
-		cands, err := ss.scatterRound(rctx, cur, req.Cost, req.Bounds, rec)
-		if err != nil {
-			rsp.End()
-			return nil, ss.busy, err
-		}
-		res.Evaluations += len(cands)
-		best, ok := bestRatio(cands, curHits)
-		if !ok {
-			rsp.End()
-			return res, ss.busy, fmt.Errorf("core: stalled at %d of %d hits: %w", curHits, req.Tau, ErrGoalUnreachable)
-		}
-		if best.Hits > req.Tau {
-			// Anti-overshoot, identical to the monolithic rule.
-			cheapest, found := best, false
-			for _, c := range cands {
-				if c.Hits < req.Tau {
-					continue
-				}
-				if !found || c.Cost < cheapest.Cost ||
-					(c.Cost == cheapest.Cost && c.Query < cheapest.Query) {
-					cheapest, found = c, true
-				}
-			}
-			if found {
-				best = cheapest
-			}
-		}
-		cur = best.Strategy
-		curHits = best.Hits
-		coeff, err := w.Space().Embed(vec.Add(w.Attrs(req.Target), cur))
-		if err != nil {
-			rsp.End()
-			return res, ss.busy, err
-		}
-		ss.apply(coeff)
-		res.Strategy = vec.Clone(cur)
-		res.Cost = req.Cost.Of(cur)
-		res.Hits = curHits
-		rsp.SetAttr("hits", curHits)
-		rsp.End()
-		if res.Iterations > ss.nq+req.Tau+8 {
-			return res, ss.busy, fmt.Errorf("core: iteration guard tripped: %w", ErrGoalUnreachable)
-		}
-	}
-	return res, ss.busy, nil
-}
-
-// ShardedMaxHitIQCtx answers a Max-Hit improvement query over a sharded
-// workload with the scatter-gather coordinator; bit-identical to
-// MaxHitIQCtx over the equivalent monolithic index.
-func ShardedMaxHitIQCtx(ctx context.Context, views []ShardView, req MaxHitRequest) (*Result, error) {
-	start := time.Now()
-	ctx, span := startSolveSpan(ctx, "maxhit")
-	rec := newRecorder()
-	res, busy, err := shardedMaxHitSolve(ctx, views, req, rec)
-	rounds := 0
-	if res != nil {
-		rounds = res.Iterations
-	}
-	st := finishSolve(ctx, "maxhit", req.Target, start, rec, rounds, err)
-	st.ShardBusy = busy
-	endSolveSpan(span, st, err)
-	if busy != nil {
-		recordShardSolve(busy)
-	}
-	if res != nil {
-		res.Stats = st
-	}
-	return res, err
-}
-
-func shardedMaxHitSolve(ctx context.Context, views []ShardView, req MaxHitRequest, rec *recorder) (*Result, []int64, error) {
-	if len(views) == 0 {
-		return nil, nil, fmt.Errorf("core: sharded solve with no shards")
-	}
-	if err := validateCommon(views[0].Idx, req.Target, req.Cost); err != nil {
-		return nil, nil, err
-	}
-	if req.Budget < 0 {
-		return nil, nil, fmt.Errorf("core: negative budget %g", req.Budget)
-	}
-	if err := CtxErr(ctx); err != nil {
-		return nil, nil, err
-	}
-	ss := newShardSolver(views, req.Target)
-	if err := ss.acquire(ctx, req.Workers); err != nil {
-		return nil, nil, err
-	}
-	defer ss.close()
-	w := views[0].Idx.Workload()
-	d := len(w.Attrs(req.Target))
-	base := ss.baseHits()
-	res := &Result{Strategy: vec.New(d), BaseHits: base, Hits: base}
-
-	cur := vec.New(d)
-	curHits := base
-
-	for {
-		res.Iterations++
-		if res.Iterations > ss.nq+8 {
-			break
-		}
-		if err := checkpoint(ctx, "maxhit", res.Iterations); err != nil {
-			return nil, ss.busy, err
-		}
-		rctx, rsp := obs.StartSpan(ctx, "round")
-		rsp.SetAttr("round", res.Iterations)
-		cands, err := ss.scatterRound(rctx, cur, req.Cost, req.Bounds, rec)
-		if err != nil {
-			rsp.End()
-			return nil, ss.busy, err
-		}
-		res.Evaluations += len(cands)
-		best, ok := bestRatio(cands, curHits)
-		if !ok {
-			rsp.End()
-			break // no candidate gains hits: every query hit or infeasible
-		}
-		if best.Cost <= req.Budget {
-			cur = best.Strategy
-			curHits = best.Hits
-			coeff, err := w.Space().Embed(vec.Add(w.Attrs(req.Target), cur))
-			if err != nil {
-				rsp.End()
-				return res, ss.busy, err
-			}
-			ss.apply(coeff)
-			res.Strategy = vec.Clone(cur)
-			res.Cost = req.Cost.Of(cur)
-			res.Hits = curHits
-			rsp.SetAttr("hits", curHits)
-			rsp.End()
-			continue
-		}
-		// Fill pass, identical to the monolithic rule. (Cost, Query) is a
-		// total order over unique query indices, so sorting the shard-major
-		// flattened slice yields exactly the monolithic sorted sequence.
-		sort.SliceStable(cands, func(a, b int) bool {
-			if cands[a].Cost != cands[b].Cost {
-				return cands[a].Cost < cands[b].Cost
-			}
-			return cands[a].Query < cands[b].Query
-		})
-		applied := false
-		for _, c := range cands {
-			if c.Hits <= curHits || c.Cost > req.Budget {
-				continue
-			}
-			cur = c.Strategy
-			curHits = c.Hits
-			coeff, err := w.Space().Embed(vec.Add(w.Attrs(req.Target), cur))
-			if err != nil {
-				rsp.End()
-				return res, ss.busy, err
-			}
-			ss.apply(coeff)
-			res.Strategy = vec.Clone(cur)
-			res.Cost = req.Cost.Of(cur)
-			res.Hits = curHits
-			applied = true
-			break
-		}
-		rsp.SetAttr("hits", curHits)
-		rsp.End()
-		if !applied {
-			break // nothing affordable gains a hit
-		}
-	}
-	return res, ss.busy, nil
 }

@@ -13,8 +13,12 @@ import (
 // labelled by shard ordinal and exist only on sharded Systems — DESIGN.md's
 // instrumentation map covers the whole iq_shard_* family with a prefix row.
 
-// Publish refreshes the per-shard structural gauges from one Set.
-func Publish(s *Set) {
+// Publish refreshes the per-shard gauges from one Set and counts a mutation
+// on every shard a commit touched (affected is nil for a fresh Set).
+func Publish(s *Set, affected []bool) {
+	if s.Single() {
+		return
+	}
 	for t, sh := range s.Shards {
 		shard := strconv.Itoa(t)
 		obs.Default.Gauge("iq_shard_epoch",
@@ -23,16 +27,9 @@ func Publish(s *Set) {
 		obs.Default.Gauge("iq_shard_queries",
 			"Live (non-tombstoned) queries owned by the shard.", "shard", shard).
 			Set(int64(s.LiveQueries(t)))
-	}
-}
-
-// RecordMutations bumps the per-shard mutation counter for every shard a
-// commit touched.
-func RecordMutations(affected []bool) {
-	for t, hit := range affected {
-		if hit {
+		if affected != nil && affected[t] {
 			obs.Default.Counter("iq_shard_mutations_total",
-				"Committed mutations that touched the shard.", "shard", strconv.Itoa(t)).Inc()
+				"Committed mutations that touched the shard.", "shard", shard).Inc()
 		}
 	}
 }

@@ -18,31 +18,36 @@ type Loc struct {
 }
 
 // Shard is one partition: a subdomain index over a workload holding every
-// object but only the shard's queries, plus the local→global query mapping.
-// Tombstoned queries keep their slots on both sides.
-type Shard struct {
-	Idx *subdomain.Index
-	// GlobalQ maps shard-local query index → global query index; its length
-	// always equals the shard workload's query count.
-	GlobalQ []int
-}
+// object but only the shard's queries, plus the local→global query mapping
+// (GlobalQ). It is the solvers' view type, so a Set's Shards go to the
+// coordinator as they are.
+type Shard = core.ShardView
 
 // Set is one epoch's sharded view: the routing plan, the shards, and the
 // global→local query ownership table. Like the System states that hold it, a
 // published Set is immutable — mutations clone the affected shards (and the
 // Owner table) and publish a new Set.
+//
+// A one-shard Set is the monolithic engine: its empty plan routes every
+// query to shard 0, Owner and GlobalQ are the identity, and its index is
+// built over, and so owns, the global workload itself (Single).
 type Set struct {
 	Plan   Plan
-	Shards []*Shard
+	Shards []Shard
 	// Owner maps global query index → (shard, local index).
 	Owner []Loc
 }
+
+// Single reports whether the Set is the one-shard layout described above.
+func (s *Set) Single() bool { return len(s.Shards) == 1 }
 
 // Build partitions w's queries by plan and constructs one workload/index
 // pair per shard. Object tombstones and query tombstones are replayed into
 // each shard so the per-shard state matches the global workload exactly;
 // every shard's dirty set is drained afterwards so the fresh Set starts with
-// a clean invalidation window, like a freshly built monolithic index.
+// a clean invalidation window, like a freshly built monolithic index. A
+// one-shard plan indexes w itself with opts unchanged: no workload copy, and
+// errors come back unwrapped, exactly as from subdomain.BuildCtx.
 func Build(ctx context.Context, w *topk.Workload, plan Plan, opts subdomain.Options) (*Set, error) {
 	n := plan.Shards()
 	if n < 1 {
@@ -66,21 +71,26 @@ func Build(ctx context.Context, w *topk.Workload, plan Plan, opts subdomain.Opti
 	for i := range objects {
 		objects[i] = w.Attrs(i)
 	}
-	set := &Set{Plan: plan, Shards: make([]*Shard, n), Owner: owner}
+	set := &Set{Plan: plan, Shards: make([]Shard, n), Owner: owner}
 	for t := 0; t < n; t++ {
-		sw, err := topk.NewWorkload(w.Space(), objects, perQ[t])
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", t, err)
-		}
-		for i := 0; i < w.NumObjects(); i++ {
-			if w.IsRemoved(i) {
-				sw.RemoveObject(i)
+		sw, sopts := w, opts
+		if n > 1 {
+			var err error
+			if sw, err = topk.NewWorkload(w.Space(), objects, perQ[t]); err != nil {
+				return nil, fmt.Errorf("shard %d: %w", t, err)
 			}
+			for i := 0; i < w.NumObjects(); i++ {
+				if w.IsRemoved(i) {
+					sw.RemoveObject(i)
+				}
+			}
+			sopts.RegionBase = uint64(t) * RegionStride
 		}
-		sopts := opts
-		sopts.RegionBase = uint64(t) * RegionStride
 		idx, err := subdomain.BuildCtx(ctx, sw, sopts)
 		if err != nil {
+			if n == 1 {
+				return nil, err
+			}
 			return nil, fmt.Errorf("shard %d: %w", t, err)
 		}
 		for _, lj := range perRemoved[t] {
@@ -90,7 +100,7 @@ func Build(ctx context.Context, w *topk.Workload, plan Plan, opts subdomain.Opti
 		}
 		idx.TakeDirty()
 		idx.TakeRegionResets()
-		set.Shards[t] = &Shard{Idx: idx, GlobalQ: perG[t]}
+		set.Shards[t] = Shard{Idx: idx, GlobalQ: perG[t]}
 	}
 	return set, nil
 }
@@ -104,7 +114,7 @@ func Build(ctx context.Context, w *topk.Workload, plan Plan, opts subdomain.Opti
 func (s *Set) CloneFor(ctx context.Context, affected []bool) *Set {
 	next := &Set{
 		Plan:   s.Plan,
-		Shards: append([]*Shard(nil), s.Shards...),
+		Shards: append([]Shard(nil), s.Shards...),
 		Owner:  append([]Loc(nil), s.Owner...),
 	}
 	for t, sh := range s.Shards {
@@ -112,7 +122,7 @@ func (s *Set) CloneFor(ctx context.Context, affected []bool) *Set {
 			continue
 		}
 		sw := sh.Idx.Workload().Clone()
-		next.Shards[t] = &Shard{
+		next.Shards[t] = Shard{
 			Idx:     sh.Idx.CloneCtx(ctx, sw),
 			GlobalQ: append([]int(nil), sh.GlobalQ...),
 		}
@@ -120,19 +130,9 @@ func (s *Set) CloneFor(ctx context.Context, affected []bool) *Set {
 	return next
 }
 
-// Views adapts the Set for the scatter-gather solvers.
-func (s *Set) Views() []core.ShardView {
-	views := make([]core.ShardView, len(s.Shards))
-	for t, sh := range s.Shards {
-		views[t] = core.ShardView{Idx: sh.Idx, GlobalQ: sh.GlobalQ}
-	}
-	return views
-}
-
 // LiveQueries counts shard t's non-tombstoned queries.
 func (s *Set) LiveQueries(t int) int {
-	sh := s.Shards[t]
-	w := sh.Idx.Workload()
+	w := s.Shards[t].Idx.Workload()
 	live := 0
 	for j := 0; j < w.NumQueries(); j++ {
 		if !w.IsQueryRemoved(j) {

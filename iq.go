@@ -136,14 +136,6 @@ func SetDirtyInvalidationEnabled(enabled bool) bool {
 // active.
 func DirtyInvalidationEnabled() bool { return core.DirtyInvalidationEnabled() }
 
-// SetMetricsEnabled toggles the wall-clock sampling half of the engine's
-// instrumentation (stage timings inside SolveStats and the duration
-// histograms) and returns the previous setting. Counters are a few atomic
-// adds per solve and stay on regardless. Off saves two clock reads per
-// candidate probe — only worth it when the engine sits on a
-// latency-critical path.
-func SetMetricsEnabled(enabled bool) bool { return obs.SetEnabled(enabled) }
-
 // SetWorkloadAnalyticsEnabled toggles per-region workload attribution (the
 // internal/obs/workload layer: solve and churn attribution by query-space
 // region, the /v1/stats/workload endpoint's data source, and the shard
@@ -271,17 +263,15 @@ type durabilitySink interface {
 	logTxn(ctx context.Context, epoch uint64, muts []Mutation) error
 }
 
-// state is one immutable epoch. Unsharded, it is a workload/index pair that
-// is never mutated after publication (idx built against w, cloned and
-// replaced together). Sharded (opts.Shards > 1), idx is nil and sh carries
-// the per-shard workload/index pairs instead; w remains the GLOBAL workload
-// — the single source of truth for query/object numbering, Evaluate, and
-// snapshots — kept in lockstep with the shards by the sharded commit
-// protocol. opts records the construction options so snapshots round-trip
-// them (a recovered System rebuilds with the same sharding layout).
+// state is one immutable epoch: the GLOBAL workload w — the single source of
+// truth for query/object numbering, Evaluate, and snapshots — and the shard
+// Set indexing it. A one-shard Set's index is built over w itself; a
+// sharded Set's shards hold their own workloads, kept in lockstep with w by
+// the commit protocol (mutateCtx). Neither is mutated after publication.
+// opts records the construction options so snapshots round-trip them (a
+// recovered System rebuilds with the same sharding layout).
 type state struct {
 	w     *topk.Workload
-	idx   *subdomain.Index
 	sh    *shard.Set
 	opts  IndexOptions
 	epoch uint64
@@ -289,72 +279,6 @@ type state struct {
 
 // view returns the current epoch snapshot.
 func (s *System) view() *state { return s.cur.Load() }
-
-// publish installs st as the initial epoch.
-func newSystem(w *topk.Workload, idx *subdomain.Index, opts IndexOptions) *System {
-	s := &System{}
-	s.cur.Store(&state{w: w, idx: idx, opts: opts})
-	return s
-}
-
-// mutate runs fn against a private clone of the current epoch under the
-// writer lock and publishes the clone when fn succeeds. On error the clone
-// is discarded and the visible state is unchanged — failed writes are
-// all-or-nothing. muts is the logical description of the write, handed to
-// the durability sink (if attached) before publication.
-func (s *System) mutate(muts []Mutation, fn func(st *state) error) error {
-	return s.mutateCtx(context.Background(), muts, fn)
-}
-
-// mutateCtx is mutate under a context so write operations record their
-// clone/update spans into the caller's trace.
-//
-// After fn succeeds, the clone's accumulated dirty set is taken and the
-// cross-solve caches are migrated from the superseded snapshot to the clone
-// before it is published: entries the mutation did not dirty stay warm
-// across the write. The migration runs pre-publish so the first post-commit
-// solve already finds them. A failed — or cancelled — fn discards the clone
-// and its dirty set together: cancellation is re-checked at the
-// MutationCheckpoint after fn, so a cancelled mutation never publishes a
-// partially merged dirty set or migrated cache state.
-//
-// When a durability sink is attached, the transaction is appended to the
-// WAL — stamped with the post-mutation epoch — after fn succeeds and before
-// the clone publishes. A WAL failure therefore aborts the mutation: the
-// caller never gets an acknowledged write the log does not hold, and the
-// log never holds an epoch no reader observed only if the process dies
-// between append and publish — exactly the window crash recovery replays.
-func (s *System) mutateCtx(ctx context.Context, muts []Mutation, fn func(st *state) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := s.cur.Load()
-	w := old.w.Clone()
-	next := &state{w: w, idx: old.idx.CloneCtx(ctx, w), epoch: old.epoch + 1}
-	if err := fn(next); err != nil {
-		return err
-	}
-	if err := core.MutationCheckpoint(ctx, -1); err != nil {
-		return err
-	}
-	if s.dur != nil && len(muts) > 0 {
-		if err := s.dur.logTxn(ctx, next.epoch, muts); err != nil {
-			return err
-		}
-	}
-	ds := next.idx.TakeDirty()
-	core.MigrateSolveCaches(old.idx, next.idx, ds)
-	// Region lifecycle bookkeeping for the analytics layer: lineages the
-	// mutation terminated are retired (their accumulated stats must never be
-	// read as a live region's), then the commit's dirty-set churn is
-	// attributed to the surviving regions. Both piggyback on the same drained
-	// dirty set the cache migration used.
-	if resets := next.idx.TakeRegionResets(); len(resets) > 0 {
-		workload.Default.RetireRegions(resets)
-	}
-	recordCommitChurn(next.idx, ds)
-	s.cur.Store(next)
-	return nil
-}
 
 // recordCommitChurn attributes one commit's dirty queries to their regions.
 // A dirty set in "everything changed" mode has no meaningful per-region
@@ -419,18 +343,7 @@ func NewWithOptionsCtx(ctx context.Context, space Space, objects []Vector, queri
 	if err != nil {
 		return nil, err
 	}
-	if opts.Shards > 1 {
-		return newShardedSystem(ctx, w, opts)
-	}
-	idx, err := subdomain.BuildCtx(ctx, w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return newSystem(w, idx, opts), nil
-}
-
-func buildIndex(w *topk.Workload, opts IndexOptions) (*subdomain.Index, error) {
-	return subdomain.Build(w, opts)
+	return newSystem(ctx, w, opts)
 }
 
 // NewLinear builds a System for linear utility functions: query points are
@@ -578,11 +491,11 @@ func (s *System) MinCostMulti(specs []TargetSpec, tau int) (*MultiResult, error)
 // enumeration is only feasible for tiny inputs anyway); on a sharded System
 // they return an error.
 func (s *System) MinCostMultiCtx(ctx context.Context, specs []TargetSpec, tau int) (*MultiResult, error) {
-	st := s.view()
-	if st.sh != nil {
-		return nil, errSharded("MinCostMulti")
+	idx, err := s.view().index("MinCostMulti")
+	if err != nil {
+		return nil, err
 	}
-	return core.CombinatorialMinCostIQCtx(ctx, st.idx, specs, tau)
+	return core.CombinatorialMinCostIQCtx(ctx, idx, specs, tau)
 }
 
 // MaxHitMulti answers a combinatorial Max-Hit IQ over several targets.
@@ -593,11 +506,11 @@ func (s *System) MaxHitMulti(specs []TargetSpec, budget float64) (*MultiResult, 
 // MaxHitMultiCtx is MaxHitMulti under a context; cancellation semantics
 // match MinCostCtx. Unsupported on a sharded System, like MinCostMultiCtx.
 func (s *System) MaxHitMultiCtx(ctx context.Context, specs []TargetSpec, budget float64) (*MultiResult, error) {
-	st := s.view()
-	if st.sh != nil {
-		return nil, errSharded("MaxHitMulti")
+	idx, err := s.view().index("MaxHitMulti")
+	if err != nil {
+		return nil, err
 	}
-	return core.CombinatorialMaxHitIQCtx(ctx, st.idx, specs, budget)
+	return core.CombinatorialMaxHitIQCtx(ctx, idx, specs, budget)
 }
 
 // MinCostExhaustive runs the optimal (exponential-time) solver; only
@@ -610,11 +523,11 @@ func (s *System) MinCostExhaustive(req MinCostRequest) (*Result, error) {
 // enumeration aborts when ctx fails. The exponential solver is where a
 // deadline matters most.
 func (s *System) MinCostExhaustiveCtx(ctx context.Context, req MinCostRequest) (*Result, error) {
-	st := s.view()
-	if st.sh != nil {
-		return nil, errSharded("MinCostExhaustive")
+	idx, err := s.view().index("MinCostExhaustive")
+	if err != nil {
+		return nil, err
 	}
-	return core.ExhaustiveMinCostCtx(ctx, st.idx, req)
+	return core.ExhaustiveMinCostCtx(ctx, idx, req)
 }
 
 // MaxHitExhaustive runs the optimal Max-Hit solver for tiny inputs.
@@ -625,11 +538,11 @@ func (s *System) MaxHitExhaustive(req MaxHitRequest) (*Result, error) {
 // MaxHitExhaustiveCtx is MaxHitExhaustive under a context; cancellation
 // semantics match MinCostExhaustiveCtx.
 func (s *System) MaxHitExhaustiveCtx(ctx context.Context, req MaxHitRequest) (*Result, error) {
-	st := s.view()
-	if st.sh != nil {
-		return nil, errSharded("MaxHitExhaustive")
+	idx, err := s.view().index("MaxHitExhaustive")
+	if err != nil {
+		return nil, err
 	}
-	return core.ExhaustiveMaxHitCtx(ctx, st.idx, req)
+	return core.ExhaustiveMaxHitCtx(ctx, idx, req)
 }
 
 // Hits returns H(p), the number of queries object target currently hits.
@@ -720,17 +633,8 @@ func (s *System) Commit(target int, strategy Vector) error {
 // CommitCtx is Commit under a context; the index clone and repartition work
 // record spans when the context carries a trace.
 func (s *System) CommitCtx(ctx context.Context, target int, strategy Vector) error {
-	muts := []Mutation{{Commit: &CommitMutation{Target: target, Strategy: strategy}}}
-	if s.view().sh != nil {
-		_, err := s.mutateShardedCtx(ctx, muts, false, nil)
-		return err
-	}
-	return s.mutateCtx(ctx, muts, func(st *state) error {
-		if err := checkStrategy(st.w, target, strategy); err != nil {
-			return err
-		}
-		return st.idx.UpdateObjectCtx(ctx, target, vec.Add(st.w.Attrs(target), strategy))
-	})
+	_, err := s.mutateOneCtx(ctx, Mutation{Commit: &CommitMutation{Target: target, Strategy: strategy}})
+	return err
 }
 
 // CommitAndCount applies a strategy and returns the target's hit count in
@@ -744,26 +648,18 @@ func (s *System) CommitAndCount(target int, strategy Vector) (int, error) {
 func (s *System) CommitAndCountCtx(ctx context.Context, target int, strategy Vector) (int, error) {
 	hits := 0
 	muts := []Mutation{{Commit: &CommitMutation{Target: target, Strategy: strategy}}}
-	if s.view().sh != nil {
-		_, err := s.mutateShardedCtx(ctx, muts, false, func(st *state) error {
-			var err error
-			hits, err = shardedBaseHits(ctx, st, target)
-			return err
-		})
-		return hits, err
-	}
-	err := s.mutateCtx(ctx, muts, func(st *state) error {
-		if err := checkStrategy(st.w, target, strategy); err != nil {
-			return err
+	// The read-back builds fresh evaluators: the clone's caches are not
+	// migrated yet, so none are borrowed from them.
+	_, err := s.mutateCtx(ctx, muts, false, func(st *state) error {
+		total := 0
+		for _, idx := range st.indexes() {
+			ev, err := ese.NewCtx(ctx, idx, target)
+			if err != nil {
+				return err
+			}
+			total += ev.BaseHits()
 		}
-		if err := st.idx.UpdateObjectCtx(ctx, target, vec.Add(st.w.Attrs(target), strategy)); err != nil {
-			return err
-		}
-		ev, err := ese.NewCtx(ctx, st.idx, target)
-		if err != nil {
-			return err
-		}
-		hits = ev.BaseHits()
+		hits = total
 		return nil
 	})
 	return hits, err
@@ -777,21 +673,7 @@ func (s *System) AddObject(attrs Vector) (int, error) {
 // AddObjectCtx is AddObject under a context; tracing semantics match
 // CommitCtx.
 func (s *System) AddObjectCtx(ctx context.Context, attrs Vector) (int, error) {
-	id := 0
-	muts := []Mutation{{AddObject: &AddObjectMutation{Attrs: attrs}}}
-	if s.view().sh != nil {
-		res, err := s.mutateShardedCtx(ctx, muts, false, nil)
-		if err != nil {
-			return 0, err
-		}
-		return res[0].ID, nil
-	}
-	err := s.mutateCtx(ctx, muts, func(st *state) error {
-		var err error
-		id, err = st.idx.AddObjectCtx(ctx, attrs)
-		return err
-	})
-	return id, err
+	return s.mutateOneCtx(ctx, Mutation{AddObject: &AddObjectMutation{Attrs: attrs}})
 }
 
 // RemoveObject tombstones an object.
@@ -802,12 +684,8 @@ func (s *System) RemoveObject(id int) error {
 // RemoveObjectCtx is RemoveObject under a context; tracing semantics match
 // CommitCtx.
 func (s *System) RemoveObjectCtx(ctx context.Context, id int) error {
-	muts := []Mutation{{RemoveObject: &RemoveObjectMutation{ID: id}}}
-	if s.view().sh != nil {
-		_, err := s.mutateShardedCtx(ctx, muts, false, nil)
-		return err
-	}
-	return s.mutateCtx(ctx, muts, func(st *state) error { return st.idx.RemoveObjectCtx(ctx, id) })
+	_, err := s.mutateOneCtx(ctx, Mutation{RemoveObject: &RemoveObjectMutation{ID: id}})
+	return err
 }
 
 // AddQuery inserts a new top-k query and returns its index.
@@ -818,21 +696,7 @@ func (s *System) AddQuery(q Query) (int, error) {
 // AddQueryCtx is AddQuery under a context; tracing semantics match
 // CommitCtx.
 func (s *System) AddQueryCtx(ctx context.Context, q Query) (int, error) {
-	j := 0
-	muts := []Mutation{{AddQuery: &AddQueryMutation{Query: q}}}
-	if s.view().sh != nil {
-		res, err := s.mutateShardedCtx(ctx, muts, false, nil)
-		if err != nil {
-			return 0, err
-		}
-		return res[0].ID, nil
-	}
-	err := s.mutateCtx(ctx, muts, func(st *state) error {
-		var err error
-		j, err = st.idx.AddQueryCtx(ctx, q)
-		return err
-	})
-	return j, err
+	return s.mutateOneCtx(ctx, Mutation{AddQuery: &AddQueryMutation{Query: q}})
 }
 
 // RemoveQuery removes a query from the workload index.
@@ -843,12 +707,18 @@ func (s *System) RemoveQuery(j int) error {
 // RemoveQueryCtx is RemoveQuery under a context; tracing semantics match
 // CommitCtx.
 func (s *System) RemoveQueryCtx(ctx context.Context, j int) error {
-	muts := []Mutation{{RemoveQuery: &RemoveQueryMutation{Index: j}}}
-	if s.view().sh != nil {
-		_, err := s.mutateShardedCtx(ctx, muts, false, nil)
-		return err
+	_, err := s.mutateOneCtx(ctx, Mutation{RemoveQuery: &RemoveQueryMutation{Index: j}})
+	return err
+}
+
+// mutateOneCtx commits one mutation as its own epoch and returns the index
+// it assigned (0 on error, -1 for operations that assign none).
+func (s *System) mutateOneCtx(ctx context.Context, m Mutation) (int, error) {
+	res, err := s.mutateCtx(ctx, []Mutation{m}, false, nil)
+	if err != nil {
+		return 0, err
 	}
-	return s.mutateCtx(ctx, muts, func(st *state) error { return st.idx.RemoveQueryCtx(ctx, j) })
+	return res[0].ID, nil
 }
 
 // Mutation is one write operation of a batch; exactly one field must be
@@ -912,52 +782,7 @@ func (s *System) ApplyBatchCtx(ctx context.Context, muts []Mutation) ([]Mutation
 	if len(muts) == 0 {
 		return nil, nil
 	}
-	if s.view().sh != nil {
-		return s.mutateShardedCtx(ctx, muts, true, nil)
-	}
-	results := make([]MutationResult, len(muts))
-	err := s.mutateCtx(ctx, muts, func(st *state) error {
-		st.idx.BeginBatch()
-		for i, m := range muts {
-			if err := core.MutationCheckpoint(ctx, i); err != nil {
-				return err
-			}
-			id, err := applyMutation(ctx, st, m)
-			if err != nil {
-				return fmt.Errorf("iq: batch mutation %d: %w", i, err)
-			}
-			results[i] = MutationResult{ID: id}
-		}
-		st.idx.EndBatchCtx(ctx)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// applyMutation dispatches one batch operation against the private clone.
-func applyMutation(ctx context.Context, st *state, m Mutation) (int, error) {
-	if n := countMutationOps(m); n != 1 {
-		return -1, fmt.Errorf("exactly one operation must be set, got %d", n)
-	}
-	switch {
-	case m.Commit != nil:
-		if err := checkStrategy(st.w, m.Commit.Target, m.Commit.Strategy); err != nil {
-			return -1, err
-		}
-		attrs := vec.Add(st.w.Attrs(m.Commit.Target), m.Commit.Strategy)
-		return -1, st.idx.UpdateObjectCtx(ctx, m.Commit.Target, attrs)
-	case m.AddObject != nil:
-		return st.idx.AddObjectCtx(ctx, m.AddObject.Attrs)
-	case m.RemoveObject != nil:
-		return -1, st.idx.RemoveObjectCtx(ctx, m.RemoveObject.ID)
-	case m.AddQuery != nil:
-		return st.idx.AddQueryCtx(ctx, m.AddQuery.Query)
-	default:
-		return -1, st.idx.RemoveQueryCtx(ctx, m.RemoveQuery.Index)
-	}
+	return s.mutateCtx(ctx, muts, true, nil)
 }
 
 // NumObjects returns the dataset size (including tombstoned objects).
@@ -972,11 +797,7 @@ func (s *System) Attrs(id int) Vector { return vec.Clone(s.view().w.Attrs(id)) }
 // IndexStats reports the subdomain index footprint; on a sharded System the
 // per-shard footprints are summed.
 func (s *System) IndexStats() IndexStats {
-	st := s.view()
-	if st.sh != nil {
-		return st.sh.Stats()
-	}
-	return st.idx.Stats()
+	return s.view().sh.Stats()
 }
 
 // Internal accessors for the benchmark harness and tools.
@@ -992,4 +813,10 @@ func (s *System) Workload() *topk.Workload { return s.view().w }
 // Index().Workload() rather than two separate System calls. On a sharded
 // System there is no single index and Index returns nil; use ShardInfos and
 // IndexStats instead.
-func (s *System) Index() *subdomain.Index { return s.view().idx }
+func (s *System) Index() *subdomain.Index {
+	sh := s.view().sh
+	if !sh.Single() {
+		return nil
+	}
+	return sh.Shards[0].Idx
+}

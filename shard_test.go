@@ -17,7 +17,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"iq/internal/baseline"
 	"iq/internal/core"
+	"iq/internal/vec"
 )
 
 // shardFixtureData generates one seed's deterministic workload.
@@ -60,11 +62,12 @@ func runShardScript(t *testing.T, sys *System, seed int64, workers int) []string
 	rng := rand.New(rand.NewSource(seed * 31))
 	var log []string
 	add := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
-	record := func(tag string, res *Result, err error) {
+	record := func(tag string, target int64, res *Result, err error) {
 		if err != nil {
 			add("%s err=%v", tag, err)
 			return
 		}
+		checkBruteForce(t, sys, tag, int(target), res)
 		add("%s strat=%v cost=%v hits=%d base=%d iter=%d evals=%d",
 			tag, res.Strategy, res.Cost, res.Hits, res.BaseHits, res.Iterations, res.Evaluations)
 	}
@@ -76,11 +79,11 @@ func runShardScript(t *testing.T, sys *System, seed int64, workers int) []string
 
 		mc, err := sys.MinCostCtx(ctx, MinCostRequest{
 			Target: int(target), Tau: h0 + 4 + round, Cost: L2Cost{}, Workers: workers})
-		record(fmt.Sprintf("r%d mincost", round), mc, err)
+		record(fmt.Sprintf("r%d mincost", round), target, mc, err)
 
 		mh, err := sys.MaxHitCtx(ctx, MaxHitRequest{
 			Target: int(target), Budget: 0.3 + 0.25*float64(round), Cost: L2Cost{}, Workers: workers})
-		record(fmt.Sprintf("r%d maxhit", round), mh, err)
+		record(fmt.Sprintf("r%d maxhit", round), target, mh, err)
 
 		if mh != nil {
 			es, err := sys.EvaluateStrategyCtx(ctx, int(target), mh.Strategy)
@@ -127,6 +130,115 @@ func runShardScript(t *testing.T, sys *System, seed int64, workers int) []string
 	add("err empty-mut=%v", err)
 	add("final epoch=%d nq=%d nobj=%d", sys.Epoch(), sys.NumQueries(), sys.NumObjects())
 	return log
+}
+
+// checkBruteForce recounts a successful solve's BaseHits and Hits over the
+// System's current workload by re-ranking every query (baseline.BruteForce):
+// an oracle independent of ESE and of the solve coordinator, which every
+// shard count shares.
+func checkBruteForce(t *testing.T, sys *System, tag string, target int, res *Result) {
+	t.Helper()
+	w := sys.Workload()
+	bf := baseline.BruteForce{W: w}
+	base, err := bf.Hits(w.Attrs(target), target)
+	if err != nil {
+		t.Fatalf("%s: brute-force base recount: %v", tag, err)
+	}
+	hits, err := bf.Hits(vec.Add(w.Attrs(target), res.Strategy), target)
+	if err != nil {
+		t.Fatalf("%s: brute-force recount: %v", tag, err)
+	}
+	if res.BaseHits != base || res.Hits != hits {
+		t.Errorf("%s: solve reports base=%d hits=%d, brute force base=%d hits=%d",
+			tag, res.BaseHits, res.Hits, base, hits)
+	}
+}
+
+// TestShardScriptOneShardWorkers completes the brute-force coverage of the
+// transcript: TestShardedBitIdentity runs it at 1 shard × 1 worker and at
+// 2, 4, and 8 shards × 1 and 4 workers; this adds 1 shard × 4 workers.
+// Skipped in -short mode, which the race pass uses: the transcript already
+// runs 35 times there under TestShardedBitIdentity.
+func TestShardScriptOneShardWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the extra transcript configuration in -short mode")
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		runShardScript(t, newShardFixture(t, seed, 1), seed, 4)
+	}
+}
+
+// TestOneShardOwnsWorkload pins the one-shard layout's invariant: its lone
+// index is built over, and mutates, the System's global workload itself, so
+// there is no second copy a mutation could be applied to twice.
+func TestOneShardOwnsWorkload(t *testing.T) {
+	objects, queries := shardFixtureData(1)
+	sys, err := NewWithOptions(LinearSpace{D: 3}, objects, queries, IndexOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, sys *System) {
+		t.Helper()
+		if sys.Index() == nil || sys.Index().Workload() != sys.Workload() {
+			t.Fatalf("%s: the one shard's index does not hold the global workload", step)
+		}
+	}
+	check("construction", sys)
+	if err := sys.Commit(1, Vector{-0.01, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	check("Commit", sys)
+	if _, err := sys.CommitAndCount(1, Vector{0, -0.01, 0}); err != nil {
+		t.Fatal(err)
+	}
+	check("CommitAndCount", sys)
+	n := sys.NumObjects()
+	oid, err := sys.AddObject(Vector{0.3, 0.3, 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("AddObject", sys)
+	if oid != n || sys.NumObjects() != n+1 {
+		t.Fatalf("AddObject assigned %d with %d objects, want %d with %d", oid, sys.NumObjects(), n, n+1)
+	}
+	if err := sys.RemoveObject(oid); err != nil {
+		t.Fatal(err)
+	}
+	check("RemoveObject", sys)
+	m := sys.NumQueries()
+	qid, err := sys.AddQuery(Query{ID: 700, K: 2, Point: Vector{0.4, 0.3, 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("AddQuery", sys)
+	if qid != m || sys.NumQueries() != m+1 {
+		t.Fatalf("AddQuery assigned %d with %d queries, want %d with %d", qid, sys.NumQueries(), m, m+1)
+	}
+	if err := sys.RemoveQuery(qid); err != nil {
+		t.Fatal(err)
+	}
+	check("RemoveQuery", sys)
+	if _, err := sys.ApplyBatch([]Mutation{
+		{AddObject: &AddObjectMutation{Attrs: Vector{0.2, 0.2, 0.2}}},
+		{AddQuery: &AddQueryMutation{Query: Query{ID: 701, K: 1, Point: Vector{0.3, 0.3, 0.4}}}},
+		{RemoveQuery: &RemoveQueryMutation{Index: 3}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("ApplyBatch", sys)
+	if sys.NumObjects() != n+2 || sys.NumQueries() != m+2 {
+		t.Fatalf("after ApplyBatch: %d objects, %d queries; want %d, %d",
+			sys.NumObjects(), sys.NumQueries(), n+2, m+2)
+	}
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Save/Load", got)
 }
 
 // TestShardedBitIdentity is the tentpole property: 5 seeds × shards {2,4,8}

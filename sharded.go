@@ -1,18 +1,19 @@
 package iq
 
-// Sharded-engine half of the System facade. With IndexOptions.Shards > 1 the
-// query workload is partitioned by query-space position into N shard indexes
-// (internal/shard); solves run through the scatter-gather coordinator in
-// internal/core and mutations through the sharded commit protocol below.
-// Both are bit-identical to the unsharded engine: same results, same errors,
-// same epochs — sharding only changes how the work is laid out.
+// Shard-set half of the System facade. Every epoch holds a shard.Set: with
+// IndexOptions.Shards > 1 the query workload is partitioned by query-space
+// position into N shard indexes (internal/shard), and with Shards ≤ 1 the
+// Set is one shard whose index is built over the global workload itself.
+// Solves run through the one coordinator in internal/core (the monolith is
+// its one-view case) and mutations through the one commit protocol below.
+// Both are bit-identical at any shard count: same results, same errors, same
+// epochs — sharding only changes how the work is laid out.
 
 import (
 	"context"
 	"fmt"
 
 	"iq/internal/core"
-	"iq/internal/ese"
 	"iq/internal/obs/workload"
 	"iq/internal/shard"
 	"iq/internal/subdomain"
@@ -20,17 +21,22 @@ import (
 	"iq/internal/vec"
 )
 
-// newShardedSystem partitions w across opts.Shards shard indexes and wraps
-// them in a System. The global workload stays alongside the shards as the
-// source of truth for query/object numbering, Evaluate, and snapshots.
-func newShardedSystem(ctx context.Context, w *topk.Workload, opts IndexOptions) (*System, error) {
-	set, err := shard.Build(ctx, w, buildShardPlan(w, opts.Shards), opts)
+// newSystem indexes w — as opts.Shards shard indexes when that is above
+// one, else as one index over w itself — and wraps it in a System. The
+// global workload stays alongside the shards as the source of truth for
+// query/object numbering, Evaluate, and snapshots.
+func newSystem(ctx context.Context, w *topk.Workload, opts IndexOptions) (*System, error) {
+	plan := shard.Plan{}
+	if opts.Shards > 1 {
+		plan = buildShardPlan(w, opts.Shards)
+	}
+	set, err := shard.Build(ctx, w, plan, opts)
 	if err != nil {
 		return nil, err
 	}
 	s := &System{}
 	s.cur.Store(&state{w: w, sh: set, opts: opts})
-	shard.Publish(set)
+	shard.Publish(set, nil)
 	return s, nil
 }
 
@@ -55,20 +61,14 @@ func buildShardPlan(w *topk.Workload, k int) shard.Plan {
 	return shard.PlanFromPositions(positions, k)
 }
 
-// solveMinCost dispatches one Min-Cost solve against this epoch snapshot.
+// solveMinCost runs one Min-Cost solve against this epoch snapshot.
 func (st *state) solveMinCost(ctx context.Context, req MinCostRequest) (*Result, error) {
-	if st.sh != nil {
-		return core.ShardedMinCostIQCtx(ctx, st.sh.Views(), req)
-	}
-	return core.MinCostIQCtx(ctx, st.idx, req)
+	return core.MinCostViews(ctx, st.sh.Shards, req)
 }
 
-// solveMaxHit dispatches one Max-Hit solve against this epoch snapshot.
+// solveMaxHit runs one Max-Hit solve against this epoch snapshot.
 func (st *state) solveMaxHit(ctx context.Context, req MaxHitRequest) (*Result, error) {
-	if st.sh != nil {
-		return core.ShardedMaxHitIQCtx(ctx, st.sh.Views(), req)
-	}
-	return core.MaxHitIQCtx(ctx, st.idx, req)
+	return core.MaxHitViews(ctx, st.sh.Shards, req)
 }
 
 // baseHitsCtx counts the target's current hits on this snapshot (the Hits
@@ -87,12 +87,8 @@ func (st *state) baseHitsCtx(ctx context.Context, target int) (int, error) {
 	return total, nil
 }
 
-// indexes returns the snapshot's subdomain indexes: the single monolithic
-// index, or one per shard.
+// indexes returns the snapshot's subdomain indexes, one per shard.
 func (st *state) indexes() []*subdomain.Index {
-	if st.sh == nil {
-		return []*subdomain.Index{st.idx}
-	}
 	out := make([]*subdomain.Index, len(st.sh.Shards))
 	for t, sh := range st.sh.Shards {
 		out[t] = sh.Idx
@@ -100,30 +96,56 @@ func (st *state) indexes() []*subdomain.Index {
 	return out
 }
 
-// mutateShardedCtx is the sharded twin of mutateCtx: the coordinator-side
-// commit protocol. Under the writer lock it clones the global workload plus
-// ONLY the shards the batch touches (the rest share published pointers, so
-// their epochs, caches, and evaluators stay warm), applies every mutation
-// shard-first (validation errors surface with the exact monolithic messages)
-// while mirroring it into the global workload, then publishes all affected
-// shard epochs in one atomic store. WAL logging, cache migration, region
-// retirement, and churn attribution run per affected shard, in shard order,
-// before the publish — exactly the monolithic protocol, fanned out.
+// index returns the snapshot's lone index for the solvers that only run on
+// one (the combinatorial and exhaustive ones); a sharded System gets the
+// errSharded error naming op.
+func (st *state) index(op string) (*subdomain.Index, error) {
+	if !st.sh.Single() {
+		return nil, errSharded(op)
+	}
+	return st.sh.Shards[0].Idx, nil
+}
+
+// mutateCtx is the commit protocol every write goes through. Under the
+// writer lock it clones ONLY the shards the batch touches (the rest share
+// published pointers, so their epochs, caches, and evaluators stay warm),
+// plus the global workload unless the one shard owns it. It applies every
+// mutation shard-first (validation errors surface with the monolithic
+// messages), mirroring each into the global workload when the shards do not
+// own it, then publishes all affected shard epochs in one atomic store.
+//
+// After the mutations succeed, each affected shard's accumulated dirty set
+// is taken and the cross-solve caches are migrated from the superseded
+// index to the clone before it is published: entries the mutation did not
+// dirty stay warm across the write, and the first post-commit solve already
+// finds them. A failed — or cancelled — write discards the clone and its
+// dirty sets together: cancellation is re-checked at the MutationCheckpoint
+// after the mutations, so a cancelled write never publishes a partially
+// merged dirty set or migrated cache state.
+//
+// When a durability sink is attached, the transaction is appended to the WAL
+// — stamped with the post-mutation epoch — after the mutations succeed and
+// before the clone publishes. A WAL failure therefore aborts the write: the
+// caller never gets an acknowledged write the log does not hold.
 //
 // post, when non-nil, runs against the fully mutated clone before the
 // durability hook (CommitAndCount's read-back). batch selects the
 // ApplyBatch semantics: per-shard deferred repartition plus per-mutation
 // cancellation checkpoints and error wrapping.
-func (s *System) mutateShardedCtx(ctx context.Context, muts []Mutation, batch bool, post func(st *state) error) ([]MutationResult, error) {
+func (s *System) mutateCtx(ctx context.Context, muts []Mutation, batch bool, post func(st *state) error) ([]MutationResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur.Load()
 	affected := shardsAffected(old.sh, muts)
 	next := &state{
-		w:     old.w.Clone(),
 		sh:    old.sh.CloneFor(ctx, affected),
 		opts:  old.opts,
 		epoch: old.epoch + 1,
+	}
+	if next.sh.Single() {
+		next.w = next.sh.Shards[0].Idx.Workload()
+	} else {
+		next.w = old.w.Clone()
 	}
 	if batch {
 		for t, hit := range affected {
@@ -139,7 +161,7 @@ func (s *System) mutateShardedCtx(ctx context.Context, muts []Mutation, batch bo
 				return nil, err
 			}
 		}
-		id, err := applyShardedMutation(ctx, next, m)
+		id, err := applyMutation(ctx, next, m)
 		if err != nil {
 			if batch {
 				return nil, fmt.Errorf("iq: batch mutation %d: %w", i, err)
@@ -175,25 +197,34 @@ func (s *System) mutateShardedCtx(ctx context.Context, muts []Mutation, batch bo
 		idx := next.sh.Shards[t].Idx
 		ds := idx.TakeDirty()
 		core.MigrateSolveCaches(old.sh.Shards[t].Idx, idx, ds)
+		// Region lifecycle bookkeeping for the analytics layer: lineages the
+		// mutation terminated are retired (their accumulated stats must never
+		// be read as a live region's), then the commit's dirty-set churn is
+		// attributed to the surviving regions. Both piggyback on the same
+		// drained dirty set the cache migration used.
 		if resets := idx.TakeRegionResets(); len(resets) > 0 {
 			workload.Default.RetireRegions(resets)
 		}
 		recordCommitChurn(idx, ds)
 	}
-	shard.Publish(next.sh)
-	shard.RecordMutations(affected)
+	shard.Publish(next.sh, affected)
 	s.cur.Store(next)
 	return results, nil
 }
 
 // shardsAffected computes which shards a mutation batch touches, so CloneFor
-// clones only those. Object operations touch every shard (all shards hold
-// the full object table); query operations touch the owning shard. Query
-// additions are simulated in order so a later RemoveQuery of a query added
-// earlier in the same batch resolves to the right shard; an out-of-range
-// index affects nothing — the mutation fails during application.
+// clones only those. The lone shard of a one-shard Set is always affected.
+// Object operations touch every shard (all shards hold the full object
+// table); query operations touch the owning shard. Query additions are
+// simulated in order so a later RemoveQuery of a query added earlier in the
+// same batch resolves to the right shard; an out-of-range index affects
+// nothing — the mutation fails during application.
 func shardsAffected(set *shard.Set, muts []Mutation) []bool {
 	affected := make([]bool, len(set.Shards))
+	if set.Single() {
+		affected[0] = true
+		return affected
+	}
 	var added []int // owning shard per query appended by this batch
 	for _, m := range muts {
 		switch {
@@ -218,16 +249,17 @@ func shardsAffected(set *shard.Set, muts []Mutation) []bool {
 	return affected
 }
 
-// applyShardedMutation applies one mutation to the private clone: shard
-// indexes first (their validation produces the same errors, with global
-// object indexes, as the monolithic index), then the global workload, which
-// never fails once the shards accepted. Returns the assigned global index
-// for AddObject/AddQuery and -1 otherwise.
-func applyShardedMutation(ctx context.Context, next *state, m Mutation) (int, error) {
+// applyMutation applies one mutation to the private clone: shard indexes
+// first (their validation produces the same errors, with global object
+// indexes, as a monolithic index), then — unless the one shard owns it —
+// the global workload, which never fails once the shards accepted. Returns
+// the assigned global index for AddObject/AddQuery and -1 otherwise.
+func applyMutation(ctx context.Context, next *state, m Mutation) (int, error) {
 	if n := countMutationOps(m); n != 1 {
 		return -1, fmt.Errorf("exactly one operation must be set, got %d", n)
 	}
 	sh := next.sh
+	mirror := !sh.Single()
 	switch {
 	case m.Commit != nil:
 		if err := checkStrategy(next.w, m.Commit.Target, m.Commit.Strategy); err != nil {
@@ -239,21 +271,31 @@ func applyShardedMutation(ctx context.Context, next *state, m Mutation) (int, er
 				return -1, err
 			}
 		}
-		return -1, next.w.UpdateObject(m.Commit.Target, attrs)
+		if mirror {
+			return -1, next.w.UpdateObject(m.Commit.Target, attrs)
+		}
+		return -1, nil
 	case m.AddObject != nil:
+		id := -1
 		for _, shd := range sh.Shards {
-			if _, err := shd.Idx.AddObjectCtx(ctx, m.AddObject.Attrs); err != nil {
+			var err error
+			if id, err = shd.Idx.AddObjectCtx(ctx, m.AddObject.Attrs); err != nil {
 				return -1, err
 			}
 		}
-		return next.w.AddObject(m.AddObject.Attrs)
+		if mirror {
+			return next.w.AddObject(m.AddObject.Attrs)
+		}
+		return id, nil
 	case m.RemoveObject != nil:
 		for _, shd := range sh.Shards {
 			if err := shd.Idx.RemoveObjectCtx(ctx, m.RemoveObject.ID); err != nil {
 				return -1, err
 			}
 		}
-		next.w.RemoveObject(m.RemoveObject.ID)
+		if mirror {
+			next.w.RemoveObject(m.RemoveObject.ID)
+		}
 		return -1, nil
 	case m.AddQuery != nil:
 		t := sh.Plan.Route(shard.QueryPos(m.AddQuery.Query))
@@ -261,17 +303,18 @@ func applyShardedMutation(ctx context.Context, next *state, m Mutation) (int, er
 		if err != nil {
 			return -1, err
 		}
-		gj, err := next.w.AddQuery(m.AddQuery.Query)
-		if err != nil {
-			return -1, err
+		gj := lj
+		if mirror {
+			if gj, err = next.w.AddQuery(m.AddQuery.Query); err != nil {
+				return -1, err
+			}
 		}
 		sh.Shards[t].GlobalQ = append(sh.Shards[t].GlobalQ, gj)
 		sh.Owner = append(sh.Owner, shard.Loc{Shard: t, Local: lj})
 		return gj, nil
 	default:
-		// The owning shard would report its LOCAL index; rewrite the
-		// out-of-range/tombstone check against the global numbering so the
-		// error matches the monolithic message verbatim.
+		// The owning shard would report its LOCAL index; check against the
+		// global numbering so the error names the caller's index.
 		j := m.RemoveQuery.Index
 		if j < 0 || j >= next.w.NumQueries() || next.w.IsQueryRemoved(j) {
 			return -1, fmt.Errorf("subdomain: query %d not indexed", j)
@@ -280,7 +323,9 @@ func applyShardedMutation(ctx context.Context, next *state, m Mutation) (int, er
 		if err := sh.Shards[loc.Shard].Idx.RemoveQueryCtx(ctx, loc.Local); err != nil {
 			return -1, err
 		}
-		next.w.RemoveQuery(j)
+		if mirror {
+			next.w.RemoveQuery(j)
+		}
 		return -1, nil
 	}
 }
@@ -307,28 +352,9 @@ func countMutationOps(m Mutation) int {
 	return n
 }
 
-// shardedBaseHits is CommitAndCount's read-back on the mutated clone: the
-// target's hit count summed across the shards' fresh evaluators.
-func shardedBaseHits(ctx context.Context, st *state, target int) (int, error) {
-	total := 0
-	for _, shd := range st.sh.Shards {
-		ev, err := ese.NewCtx(ctx, shd.Idx, target)
-		if err != nil {
-			return 0, err
-		}
-		total += ev.BaseHits()
-	}
-	return total, nil
-}
-
 // Shards returns the engine's shard count: 1 for the monolithic engine,
 // Options.Shards for a sharded one.
-func (s *System) Shards() int {
-	if sh := s.view().sh; sh != nil {
-		return len(sh.Shards)
-	}
-	return 1
-}
+func (s *System) Shards() int { return len(s.view().sh.Shards) }
 
 // ShardInfo describes one shard of a sharded System for stats surfaces.
 type ShardInfo struct {
@@ -346,7 +372,7 @@ type ShardInfo struct {
 // ShardInfos reports the per-shard layout, nil for an unsharded System.
 func (s *System) ShardInfos() []ShardInfo {
 	sh := s.view().sh
-	if sh == nil {
+	if sh.Single() {
 		return nil
 	}
 	out := make([]ShardInfo, len(sh.Shards))
@@ -364,21 +390,13 @@ func (s *System) ShardInfos() []ShardInfo {
 // ShardPlan returns the routing plan's cut positions (len = shards-1), nil
 // for an unsharded System.
 func (s *System) ShardPlan() []float64 {
-	sh := s.view().sh
-	if sh == nil {
-		return nil
-	}
-	return append([]float64(nil), sh.Plan.Cuts...)
+	return append([]float64(nil), s.view().sh.Plan.Cuts...)
 }
 
 // RouteQueryPos returns the shard that owns a query at the given first-axis
 // position (always 0 for an unsharded System).
 func (s *System) RouteQueryPos(pos float64) int {
-	sh := s.view().sh
-	if sh == nil {
-		return 0
-	}
-	return sh.Plan.Route(pos)
+	return s.view().sh.Plan.Route(pos)
 }
 
 // errSharded builds the error returned by solver surfaces the sharded engine

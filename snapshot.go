@@ -311,41 +311,19 @@ func buildFromSnapshot(snap snapshot) (*System, error) {
 			w.RemoveObject(i)
 		}
 	}
-	if snap.Options.Shards > 1 {
-		// Sharded rebuild: tombstone the workload first so the shard builder
-		// partitions with the saved liveness (it replays both tombstone kinds
-		// into every shard index itself), then restore the saved epoch.
-		for j, removed := range snap.QueryRemoved {
-			if removed {
-				w.RemoveQuery(j)
-			}
+	// Version ≥ 2 carries query tombstones. Tombstone the workload first:
+	// the shard builder indexes every query slot (keeping indices stable)
+	// and re-applies the removals itself, mirroring the runtime RemoveQuery
+	// path. Then restore the saved epoch.
+	for j, removed := range snap.QueryRemoved {
+		if removed {
+			w.RemoveQuery(j)
 		}
-		s, err := newShardedSystem(context.Background(), w, snap.Options)
-		if err != nil {
-			return nil, err
-		}
-		s.cur.Load().epoch = snap.Epoch
-		return s, nil
 	}
-	idx, err := buildIndex(w, snap.Options)
+	s, err := newSystem(context.Background(), w, snap.Options)
 	if err != nil {
 		return nil, err
 	}
-	// Version ≥ 2 carries query tombstones: the index is built over every
-	// query slot (keeping indices stable) and removals are re-applied here,
-	// mirroring the runtime RemoveQuery path.
-	for j, removed := range snap.QueryRemoved {
-		if removed {
-			if err := idx.RemoveQuery(j); err != nil {
-				return nil, fmt.Errorf("iq: replaying query tombstone %d: %w", j, err)
-			}
-		}
-	}
-	// Drain the dirt from replaying tombstones: this index identity is
-	// brand-new, so there are no cache entries to migrate, and the first real
-	// mutation's dirty set must describe only that mutation.
-	idx.TakeDirty()
-	s := newSystem(w, idx, snap.Options)
 	s.cur.Load().epoch = snap.Epoch
 	return s, nil
 }
