@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet test race stress perfbench bench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
+.PHONY: check build vet test race stress fuzz perfbench bench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
 
 # check is the CI entry point: build everything, vet, run the suite under
 # the race detector (-short: the stress tests are excluded there), then
 # re-run the concurrency stress tests twice to shake out
-# scheduling-dependent interleavings, vet and test the nested benchmark
+# scheduling-dependent interleavings, fuzz the hit counter for 15 s, vet and
+# test the nested benchmark
 # module, and finally scrape /metrics off a
 # live server to prove the exposition parses end to end. Every test run
 # carries an explicit -timeout so a hung solve fails fast with a goroutine
 # dump instead of stalling CI at the per-package default.
-check: build vet race stress perfbench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
+check: build vet race stress fuzz perfbench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
 
 build:
 	$(GO) build ./...
@@ -26,6 +27,11 @@ race:
 
 stress:
 	$(GO) test -race -run TestStress -count=2 -timeout 10m ./...
+
+# fuzz runs the hit-counter differential fuzzer briefly: threshold vectors
+# against a brute-force recount and ESE on tiny workloads.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzThresholdHits -fuzztime 15s -timeout 5m ./internal/core
 
 # perfbench vets and tests the benchmark harness, a nested module
 # (perfbench/go.mod) that the root ./... patterns skip, so an engine API

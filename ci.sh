@@ -11,6 +11,10 @@ go build ./...
 go vet ./...
 go test -race -short -timeout 5m ./...
 go test -race -run TestStress -count=2 -timeout 10m ./...
+# Differential fuzz of the serving path's hit counter: threshold vectors
+# against a brute-force recount and ESE on tiny workloads (seed corpus in
+# internal/core/testdata/fuzz/FuzzThresholdHits).
+go test -run '^$' -fuzz FuzzThresholdHits -fuzztime 15s -timeout 5m ./internal/core
 # The benchmark harness is a nested module (perfbench/go.mod), so the root
 # ./... patterns skip it; build and test it on its own so an engine API
 # change that breaks the benchmark fails here.

@@ -411,6 +411,7 @@ func (s *server) warnIfSlow(ctx context.Context, op string, st iq.SolveStats) {
 		slog.Int("candidates", st.Candidates),
 		slog.Duration("solve_hit_wall", st.SolveHitWall),
 		slog.Duration("eval_wall", st.EvalWall),
+		slog.Duration("threshold_wall", st.ThresholdWall),
 	}
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		attrs = append(attrs, slog.String("trace_id", tr.ID()))
@@ -863,7 +864,7 @@ func (s *server) handleMaxHit(w http.ResponseWriter, r *http.Request) {
 // handleSolveBatch answers N independent solves against one epoch snapshot
 // in a single request. The batch passes through the same admission semaphore
 // as the single-solve endpoints and occupies exactly one slot; items run
-// sequentially inside it, sharing the warm threshold/evaluator caches, which
+// sequentially inside it, sharing the warm threshold cache, which
 // is what makes a batch cheaper than N separate requests. Item failures are
 // reported per item; only malformed requests fail the batch as a whole.
 func (s *server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {

@@ -28,15 +28,16 @@ func TestSolveHitAllocsLinearWarm(t *testing.T) {
 		cur := make(vec.Vector, 3)
 		bounds := &Bounds{Lo: vec.Vector{-1, -1, -1}, Hi: vec.Vector{1, 1, 1}}
 		sc := &probeScratch{}
+		thr := loadThresholds(context.Background(), idx, target, nil, nil)
 		// Warm the threshold cache and the scratch buffers.
 		for j := 0; j < idx.Workload().NumQueries(); j++ {
-			if _, err := solveHit(idx, target, cur, j, L2Cost{}, bounds, sc, nil); err != nil {
+			if _, err := solveHit(thr, cur, j, L2Cost{}, bounds, sc, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		j := 0
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := solveHit(idx, target, cur, j, L2Cost{}, bounds, sc, nil); err != nil {
+			if _, err := solveHit(thr, cur, j, L2Cost{}, bounds, sc, nil); err != nil {
 				t.Fatal(err)
 			}
 			j = (j + 1) % idx.Workload().NumQueries()
@@ -58,19 +59,15 @@ func TestGenerateCandidatesAllocsPerRoundWarm(t *testing.T) {
 	withCaches(t, true, func() {
 		ctx := context.Background()
 		target := 2
-		pool, release, err := AcquireEvaluators(ctx, idx, target, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer release()
+		rec := newRecorder()
+		thr := loadThresholds(ctx, idx, target, rec, nil)
 		hit := bitset.New(idx.Workload().NumQueries())
-		pool[0].BaseHitSet(hit)
+		thr.hitSet(idx.Workload().Coeff(target), hit)
 		cur := make(vec.Vector, 3)
 		rs := &roundScratch{}
-		rec := newRecorder()
 		probes := 0
 		warm := func() int {
-			cands, err := generateCandidates(ctx, idx, pool, target, cur, hit, L2Cost{}, nil, rs, rec)
+			cands, err := generateCandidates(ctx, hitCounter{thr}, 0, 1, cur, hit, L2Cost{}, nil, rs, rec)
 			if err != nil {
 				t.Fatal(err)
 			}

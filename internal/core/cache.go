@@ -1,36 +1,43 @@
 package core
 
-// This file is the cross-solve caching layer. The paper's whole design
-// amortises one precomputed geometric index over many improvement queries,
-// but the runtime used to throw that amortisation away: every greedy round
-// re-ran hitThreshold's full top-k evaluation for every unhit query, and
-// every solve rebuilt its evaluator pool from scratch. Both computations are
-// pure functions of (index epoch, target) — the k-th competitor score at a
-// query never moves while the target improves (the target is excluded from
-// its own competition), and an evaluator's cached ranks stay valid until the
-// index mutates — so both are cached here, keyed by identity of the
-// immutable epoch snapshot (*subdomain.Index pointer) plus the target, and
-// validated against Index.Epoch() for direct in-place mutators.
+// This file is the serving path's one hit counter and its cross-solve cache.
+// For a target and a query j, the k-th best competitor among the other live
+// objects — its score and its id — is all the query needs: the improved
+// target hits j exactly when topk.Better ranks it above that competitor. The
+// competitor never moves while the target improves (the target is excluded
+// from its own competition), so one threshold vector per (index snapshot,
+// target) answers every probe of every greedy round of every solve with one
+// dot product per query: H(p+s) = #{j : Better(coeff·q_j, target, kth_j)}.
+// This is the reverse top-k threshold test (RTA, ref [21]) over cached
+// thresholds.
 //
-// Correctness invariant: a cache hit returns bit-identical values to the
-// recomputation it replaces (the cached float64 IS the previously computed
-// one; a recycled evaluator rebuilds itself via ensureFresh when stale), so
-// solver results are unchanged with caches on or off — the determinism
-// property tests assert exactly that.
+// A solve fills every live slot of its vector once, under the entry's own
+// lock (never the table lock), before its first round. A filled vector is
+// never written again — fills and migrations publish a fresh one — so the
+// workers and shards of any number of solves read it without locks.
 //
-// Memory: both caches are LRU-bounded. An entry's key holds a strong
-// reference to its epoch's index, so an (idx, target) key can never collide
-// with a recycled pointer; superseded epochs age out as new entries land.
+// Correctness invariant: a cached slot holds the bit-identical value the
+// fill would compute, so results are the same with the cache on or off — the
+// determinism property tests assert exactly that.
+//
+// Memory: the table is LRU-bounded. An entry's key holds a strong reference
+// to its epoch's index, so an (idx, target) key can never collide with a
+// recycled pointer. Migration takes a superseded snapshot's entries out of
+// the table, so the cache pins at most the published epoch plus whatever
+// snapshots readers still solve against.
 
 import (
 	"container/list"
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
-	"iq/internal/ese"
+	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
+	"iq/internal/topk"
+	"iq/internal/vec"
 )
 
 var (
@@ -38,43 +45,38 @@ var (
 		"hitThreshold lookups served from the epoch-keyed cache.")
 	mThresholdCacheMisses = obs.Default.Counter("iq_threshold_cache_misses_total",
 		"hitThreshold lookups that ran a full top-k evaluation.")
-	mEvaluatorCacheHits = obs.Default.Counter("iq_evaluator_cache_hits_total",
-		"Solver evaluators recycled from the cross-solve cache.")
-	mEvaluatorCacheMisses = obs.Default.Counter("iq_evaluator_cache_misses_total",
-		"Solver evaluators constructed because none was cached.")
 	mSolveCacheEvictions = obs.Default.Counter("iq_solve_cache_evictions_total",
-		"Cache entries evicted by the LRU bound (both families).")
+		"Threshold cache entries evicted by the LRU bound.")
 	mCacheEntriesRetained = obs.Default.Counter("iq_cache_entries_retained_total",
-		"Cached values carried across a mutation by dirty-set migration (threshold slots + evaluators).")
+		"Cached threshold slots carried across a mutation by dirty-set migration.")
 	mCacheEntriesInvalidated = obs.Default.Counter("iq_cache_entries_invalidated_total",
-		"Cached values dropped by dirty-set migration because the mutation's dirty set intersected them.")
+		"Cached threshold slots dropped by dirty-set migration because the mutation's dirty set intersected them.")
 )
 
-// cacheEnabled gates both solve caches. On by default; the benchmark
+// cacheEnabled gates the threshold cache. On by default; the benchmark
 // harness and the determinism tests flip it to A/B the cached and uncached
 // paths.
 var cacheEnabled atomic.Bool
 
 func init() { cacheEnabled.Store(true) }
 
-// SetSolveCacheEnabled toggles the cross-solve threshold and evaluator
-// caches and returns the previous setting. Disabling does not purge —
-// re-enabling reuses still-valid entries; call PurgeSolveCaches for a cold
-// start. Results are bit-identical either way; the caches are purely a
-// throughput optimisation.
+// SetSolveCacheEnabled toggles the cross-solve threshold cache and returns
+// the previous setting. Disabled, every solve fills a private threshold
+// vector. Disabling does not purge — re-enabling reuses still-valid entries;
+// call PurgeSolveCaches for a cold start. Results are bit-identical either
+// way; the cache is purely a throughput optimisation.
 func SetSolveCacheEnabled(enabled bool) bool {
 	return cacheEnabled.Swap(enabled)
 }
 
-// SolveCacheEnabled reports whether the cross-solve caches are active.
+// SolveCacheEnabled reports whether the cross-solve cache is active.
 func SolveCacheEnabled() bool { return cacheEnabled.Load() }
 
-// PurgeSolveCaches drops every cached threshold table and idle evaluator.
-// Tests use it to force cold-path measurements; production code never needs
-// it (the LRU bounds already cap memory).
+// PurgeSolveCaches drops every cached threshold vector. Tests use it to
+// force cold-path measurements; production code never needs it (the LRU
+// bound already caps memory).
 func PurgeSolveCaches() {
 	thresholds.purge()
-	evaluators.purge()
 }
 
 // cacheKey identifies one target within one immutable index snapshot. The
@@ -85,237 +87,277 @@ type cacheKey struct {
 	target int
 }
 
-// lruTable is a mutex-guarded LRU map shared by both cache families. Values
-// carry their own fine-grained locks; the table lock covers only lookup,
-// insertion, and eviction bookkeeping.
-type lruTable[V any] struct {
+// lruTable is the mutex-guarded LRU map of threshold entries. Entries carry
+// their own locks; the table lock covers only lookup, insertion, and
+// eviction bookkeeping.
+type lruTable struct {
 	mu    sync.Mutex
 	max   int
 	items map[cacheKey]*list.Element
 	order *list.List // front = most recently used
 }
 
-type lruSlot[V any] struct {
+type lruSlot struct {
 	key cacheKey
-	val V
-}
-
-func newLRUTable[V any](max int) *lruTable[V] {
-	return &lruTable[V]{max: max, items: map[cacheKey]*list.Element{}, order: list.New()}
+	val *thresholdEntry
 }
 
 // getOrCreate returns the entry for key, creating it with mk on first use,
 // and marks it most recently used. Eviction of the least recently used entry
-// keeps the table at its bound.
-func (t *lruTable[V]) getOrCreate(key cacheKey, mk func() V) V {
+// keeps the table at its bound. mk runs under the table lock, so it must be
+// cheap; fills happen later, under the entry's lock.
+func (t *lruTable) getOrCreate(key cacheKey, mk func() *thresholdEntry) *thresholdEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if el, ok := t.items[key]; ok {
 		t.order.MoveToFront(el)
-		return el.Value.(*lruSlot[V]).val
+		return el.Value.(*lruSlot).val
 	}
 	v := mk()
-	t.items[key] = t.order.PushFront(&lruSlot[V]{key: key, val: v})
+	t.items[key] = t.order.PushFront(&lruSlot{key: key, val: v})
 	for t.order.Len() > t.max {
 		last := t.order.Back()
 		t.order.Remove(last)
-		delete(t.items, last.Value.(*lruSlot[V]).key)
+		delete(t.items, last.Value.(*lruSlot).key)
 		mSolveCacheEvictions.Inc()
 	}
 	return v
 }
 
-func (t *lruTable[V]) purge() {
+func (t *lruTable) purge() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.items = map[cacheKey]*list.Element{}
 	t.order.Init()
 }
 
-// entriesFor snapshots every slot keyed to the given index snapshot. The
-// migration layer iterates the copy outside the table lock; values carry
-// their own locks.
-func (t *lruTable[V]) entriesFor(idx *subdomain.Index) []lruSlot[V] {
+// take removes every slot keyed to the given index snapshot and returns
+// them. The migration layer iterates them outside the table lock.
+func (t *lruTable) take(idx *subdomain.Index) []lruSlot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []lruSlot[V]
-	for _, el := range t.items {
-		if s := el.Value.(*lruSlot[V]); s.key.idx == idx {
+	var out []lruSlot
+	for key, el := range t.items {
+		if s := el.Value.(*lruSlot); s.key.idx == idx {
 			out = append(out, *s)
+			t.order.Remove(el)
+			delete(t.items, key)
 		}
 	}
 	return out
 }
 
-// --- hit-threshold cache ---
+// thresholdTableMax bounds the (index, target) threshold vectors kept.
+const thresholdTableMax = 256
 
-// Threshold lookup states; a byte per query keeps entries compact.
+var thresholds = &lruTable{max: thresholdTableMax, items: map[cacheKey]*list.Element{}, order: list.New()}
+
+// Threshold slot states; a byte per query keeps vectors compact.
 const (
-	thrUnknown   uint8 = iota // not computed yet
-	thrBounded                // val holds the k-th competitor score
+	thrUnknown   uint8 = iota // not computed, or the query is removed
+	thrBounded                // val/kth hold the k-th competitor
 	thrUnbounded              // fewer than k competitors: any score hits
 )
 
-// thresholdEntry caches one (index, target)'s per-query hit thresholds. The
-// RWMutex makes the common case — every worker of every solve reading warm
-// values — a shared lock; writes happen once per (epoch, query).
+// thresholdEntry is one (index, target)'s cache slot. mu serialises fills,
+// so concurrent solves of one target compute each threshold once; vec is
+// replaced, never mutated, once published.
 type thresholdEntry struct {
-	mu    sync.RWMutex
-	epoch uint64
-	state []uint8
-	val   []float64
+	mu  sync.Mutex
+	vec *thresholdVec
 }
 
-const (
-	thresholdTableMax = 256 // (index, target) threshold tables kept
-	evaluatorTableMax = 64  // (index, target) idle evaluator pools kept
-	idleEvaluatorsMax = 8   // idle evaluators kept per pool
-)
+// thresholdVec is one target's per-query k-th competitor on one index
+// snapshot: slot j is thrBounded with the competitor's score and id,
+// thrUnbounded, or thrUnknown. A filled vector has every live slot known and
+// every removed one unknown. It is read-only once filled.
+type thresholdVec struct {
+	idx    *subdomain.Index
+	target int
+	epoch  uint64
+	cached bool // served through the cache: probe lookups count as hits
+	state  []uint8
+	val    []float64
+	kth    []int
+}
 
-var (
-	thresholds = newLRUTable[*thresholdEntry](thresholdTableMax)
-	evaluators = newLRUTable[*evaluatorEntry](evaluatorTableMax)
-)
+func newThresholdVec(idx *subdomain.Index, target int, epoch uint64, n int) *thresholdVec {
+	return &thresholdVec{idx: idx, target: target, epoch: epoch,
+		state: make([]uint8, n), val: make([]float64, n), kth: make([]int, n)}
+}
 
-// cachedHitThreshold is hitThreshold behind the epoch-keyed cache: the k-th
-// competitor score at query j is invariant under the target's own
-// improvement, so one computation serves every greedy round of every solve
-// against this index snapshot. rec (nil-safe) receives per-solve hit/miss
-// counts; the package counters always accumulate.
-func cachedHitThreshold(idx *subdomain.Index, target, j int, sc *probeScratch, rec *recorder) (float64, bool) {
+// loadThresholds returns target's filled threshold vector on idx: the cached
+// one when it is complete, else a fresh one with every missing live slot
+// computed. counts (nil-safe) is the solve's attribution table, charged one
+// miss per computed slot; rec (nil-safe) receives the miss count and the
+// fill time. The fill is recorded as a "thresholds" span. Callers validate
+// target first.
+func loadThresholds(ctx context.Context, idx *subdomain.Index, target int, rec *recorder, counts []queryCounts) *thresholdVec {
+	_, sp := obs.StartSpan(ctx, "thresholds")
+	sp.SetAttr("target", target)
+	defer sp.End()
 	if !cacheEnabled.Load() {
-		return hitThreshold(idx, target, j, sc)
+		v := newThresholdVec(idx, target, idx.Epoch(), idx.Workload().NumQueries())
+		sp.SetAttr("filled", v.fill(nil, rec, nil))
+		return v
 	}
 	e := thresholds.getOrCreate(cacheKey{idx: idx, target: target}, func() *thresholdEntry {
 		return &thresholdEntry{}
 	})
-	epoch := idx.Epoch()
-	e.mu.RLock()
-	if e.epoch == epoch && j < len(e.state) {
-		switch e.state[j] {
-		case thrBounded:
-			v := e.val[j]
-			e.mu.RUnlock()
-			mThresholdCacheHits.Inc()
-			rec.thresholdLookup(true)
-			sc.noteThreshold(true)
-			return v, true
-		case thrUnbounded:
-			e.mu.RUnlock()
-			mThresholdCacheHits.Inc()
-			rec.thresholdLookup(true)
-			sc.noteThreshold(true)
-			return 0, false
-		}
-	}
-	e.mu.RUnlock()
-	v, bounded := hitThreshold(idx, target, j, sc)
-	mThresholdCacheMisses.Inc()
-	rec.thresholdLookup(false)
-	sc.noteThreshold(false)
-	n := idx.Workload().NumQueries()
 	e.mu.Lock()
-	if e.epoch != epoch || len(e.state) != n {
-		// First fill, or the index mutated in place: restart the table at
-		// the current epoch. Concurrent writers at the same epoch write
-		// identical values, so last-write-wins is harmless.
-		e.epoch = epoch
-		if cap(e.state) >= n {
-			e.state = e.state[:n]
-			for i := range e.state {
-				e.state[i] = thrUnknown
-			}
-			e.val = e.val[:n]
-		} else {
-			e.state = make([]uint8, n)
-			e.val = make([]float64, n)
-		}
+	defer e.mu.Unlock()
+	w := idx.Workload()
+	epoch, n := idx.Epoch(), w.NumQueries()
+	prev := e.vec
+	if prev != nil && (prev.epoch != epoch || len(prev.state) != n) {
+		prev = nil // first fill, or the index mutated in place
 	}
-	if j < len(e.state) {
-		if bounded {
-			e.state[j] = thrBounded
-			e.val[j] = v
-		} else {
-			e.state[j] = thrUnbounded
-		}
+	if prev != nil && prev.complete() {
+		sp.SetAttr("filled", 0)
+		return prev
 	}
-	e.mu.Unlock()
-	return v, bounded
+	v := newThresholdVec(idx, target, epoch, n)
+	v.cached = true
+	sp.SetAttr("filled", v.fill(prev, rec, counts))
+	e.vec = v
+	return v
 }
 
-// --- evaluator cache ---
-
-// evaluatorEntry holds idle evaluators for one (index, target), ready to be
-// recycled into the next solve. Evaluators are exclusively owned while
-// acquired — they carry mutable scratch state — so the entry only ever holds
-// ones no solve is using.
-type evaluatorEntry struct {
-	mu    sync.Mutex
-	epoch uint64
-	idle  []*ese.Evaluator
+// complete reports whether every live slot is known and every removed one
+// unknown, i.e. whether a fill would change nothing.
+func (v *thresholdVec) complete() bool {
+	w := v.idx.Workload()
+	for j, s := range v.state {
+		if (s == thrUnknown) != w.IsQueryRemoved(j) {
+			return false
+		}
+	}
+	return true
 }
 
-// AcquireEvaluators returns `workers` (after clamping, at least one)
-// evaluators for the target, recycling idle ones cached from previous solves
-// against the same index snapshot and constructing the remainder. The second
-// return value releases the evaluators back to the cache; call it exactly
-// once, after the last use of the pool. With the solve caches disabled it
-// constructs a fresh pool and the release is a no-op.
-func AcquireEvaluators(ctx context.Context, idx *subdomain.Index, target, workers int) ([]*ese.Evaluator, func(), error) {
-	workers = clampWorkers(workers, idx.Workload().NumQueries())
-	if !cacheEnabled.Load() {
-		pool, err := evaluatorPool(ctx, idx, target, workers)
-		if err != nil {
-			return nil, nil, err
+// fill computes every live slot of the fresh vector v, copying the ones prev
+// (nil-safe, same length) already knows, and returns how many it computed.
+func (v *thresholdVec) fill(prev *thresholdVec, rec *recorder, counts []queryCounts) int {
+	w := v.idx.Workload()
+	var t0 time.Time
+	if rec != nil && rec.timed {
+		t0 = time.Now()
+	}
+	var sc probeScratch
+	filled := 0
+	for j := range v.state {
+		if w.IsQueryRemoved(j) {
+			continue
 		}
-		return pool, func() {}, nil
-	}
-	key := cacheKey{idx: idx, target: target}
-	e := evaluators.getOrCreate(key, func() *evaluatorEntry { return &evaluatorEntry{} })
-	epoch := idx.Epoch()
-	var pool []*ese.Evaluator
-	e.mu.Lock()
-	if e.epoch != epoch {
-		// The index mutated in place since these were parked. They would
-		// self-heal via their own epoch check, but a rebuild costs as much
-		// as a fresh construction — drop them for clarity.
-		e.idle = nil
-		e.epoch = epoch
-	}
-	if n := min(workers, len(e.idle)); n > 0 {
-		pool = append(pool, e.idle[len(e.idle)-n:]...)
-		e.idle = e.idle[:len(e.idle)-n]
-	}
-	e.mu.Unlock()
-	mEvaluatorCacheHits.Add(int64(len(pool)))
-	for _, ev := range pool {
-		ev.Bind(ctx)
-	}
-	for len(pool) < workers {
-		ev, err := ese.NewCtx(ctx, idx, target)
-		if err != nil {
-			releaseEvaluators(key, pool)
-			return nil, nil, err
+		if prev != nil && prev.state[j] != thrUnknown {
+			v.state[j], v.val[j], v.kth[j] = prev.state[j], prev.val[j], prev.kth[j]
+			continue
 		}
-		mEvaluatorCacheMisses.Inc()
-		pool = append(pool, ev)
+		if score, id, ok := hitThreshold(v.idx, v.target, j, &sc); ok {
+			v.state[j], v.val[j], v.kth[j] = thrBounded, score, id
+		} else {
+			v.state[j] = thrUnbounded
+		}
+		filled++
+		if counts != nil {
+			counts[j].thrMisses++
+		}
 	}
-	release := func() { releaseEvaluators(key, pool) }
-	return pool, release, nil
+	if v.cached {
+		mThresholdCacheMisses.Add(int64(filled))
+		if rec != nil {
+			rec.thrMisses.Add(int64(filled))
+		}
+	}
+	if rec != nil && rec.timed {
+		rec.thrFill.Add(time.Since(t0).Nanoseconds())
+	}
+	return filled
+}
+
+// threshold returns live query j's k-th competitor score, or ok=false when
+// any score hits it. A cached vector counts the lookup as a cache hit on the
+// package counters, rec and j's attribution row (rec and sc are nil-safe;
+// callers outside a solve, such as the exhaustive verifier, pass nil).
+func (v *thresholdVec) threshold(j int, sc *probeScratch, rec *recorder) (float64, bool) {
+	if v.cached {
+		mThresholdCacheHits.Inc()
+		if rec != nil {
+			rec.thrHits.Add(1)
+		}
+		if sc != nil && sc.counts != nil {
+			sc.counts[j].thrHits++
+		}
+	}
+	return v.val[j], v.state[j] == thrBounded
+}
+
+// hits reports whether the target, moved to the embedded coefficients
+// coeff, hits query j. Removed queries are never hit.
+func (v *thresholdVec) hits(j int, coeff vec.Vector) bool {
+	switch v.state[j] {
+	case thrBounded:
+		score := vec.Dot(coeff, v.idx.Workload().Query(j).Point)
+		return topk.Better(score, v.target, v.val[j], v.kth[j])
+	case thrUnbounded:
+		return true
+	}
+	return false
+}
+
+// count returns how many of the vector's queries the target hits at coeff.
+func (v *thresholdVec) count(coeff vec.Vector) int {
+	n := 0
+	for j := range v.state {
+		if v.hits(j, coeff) {
+			n++
+		}
+	}
+	return n
+}
+
+// hitSet fills dst, grown to the vector's query count, with the queries the
+// target hits at coeff.
+func (v *thresholdVec) hitSet(coeff vec.Vector, dst *bitset.Bits) {
+	dst.Grow(len(v.state))
+	dst.Reset()
+	for j := range v.state {
+		if v.hits(j, coeff) {
+			dst.Set(j)
+		}
+	}
+}
+
+// cachedHitThreshold is hitThreshold read through the target's threshold
+// vector. Removed queries have no slot, and with the cache off one slot is
+// not worth a vector, so both are computed directly.
+func cachedHitThreshold(idx *subdomain.Index, target, j int, sc *probeScratch, rec *recorder) (float64, bool) {
+	if !cacheEnabled.Load() || idx.Workload().IsQueryRemoved(j) {
+		t, _, ok := hitThreshold(idx, target, j, sc)
+		return t, ok
+	}
+	return loadThresholds(context.Background(), idx, target, rec, nil).threshold(j, sc, rec)
+}
+
+// TargetHits returns H on idx's queries for target moved to the embedded
+// coefficients coeff (w.Coeff(target) for the unimproved target), counted
+// from the cached threshold vector. Callers validate target first.
+func TargetHits(ctx context.Context, idx *subdomain.Index, target int, coeff vec.Vector) int {
+	return loadThresholds(ctx, idx, target, nil, nil).count(coeff)
 }
 
 // --- dirty-set cache migration ---
 
 // dirtyInvalidation gates the migration layer. On by default; the write
 // benchmark flips it off to A/B dirty-set invalidation against the old
-// whole-epoch behaviour (every write cold-starts every cache).
+// whole-epoch behaviour (every write cold-starts the cache).
 var dirtyInvalidation atomic.Bool
 
 func init() { dirtyInvalidation.Store(true) }
 
 // SetDirtyInvalidationEnabled toggles dirty-set cache migration across
 // mutations and returns the previous setting. Disabled, a mutation's new
-// epoch starts with cold caches (the pre-dirty-set behaviour); results are
+// epoch starts with a cold cache (the pre-dirty-set behaviour); results are
 // bit-identical either way.
 func SetDirtyInvalidationEnabled(enabled bool) bool {
 	return dirtyInvalidation.Swap(enabled)
@@ -324,77 +366,71 @@ func SetDirtyInvalidationEnabled(enabled bool) bool {
 // DirtyInvalidationEnabled reports whether dirty-set migration is active.
 func DirtyInvalidationEnabled() bool { return dirtyInvalidation.Load() }
 
-// MigrateSolveCaches carries cached solver state across a copy-on-write
-// mutation: every threshold table and idle evaluator keyed to the
-// pre-mutation snapshot oldIdx is re-keyed to its successor newIdx, minus
-// exactly the values the mutation's dirty set invalidates. The write path
-// calls it after the mutation succeeded and before publishing newIdx, so the
-// first post-publish solve finds the surviving entries warm.
+// MigrateSolveCaches carries cached threshold vectors across a copy-on-write
+// mutation: every vector keyed to the pre-mutation snapshot oldIdx is
+// re-keyed to its successor newIdx, minus exactly the slots the mutation's
+// dirty set invalidates. A dirty query's slot reverts to unknown for every
+// target except the query's sole dirtying object (a target's threshold
+// excludes the target itself); clean slots keep their bit-exact values, and
+// the next solve fills the rest. The write path calls it after the mutation
+// succeeded and before publishing newIdx, so the first post-publish solve
+// finds the surviving slots warm.
 //
-//   - Threshold tables survive per query: a dirty query's slot reverts to
-//     unknown (for every target except the query's sole dirtying object —
-//     a target's threshold excludes the target itself); clean slots keep
-//     their bit-exact values. The epoch advances with the snapshot, ordering
-//     versions without wiping entries.
-//   - Idle evaluators survive whole or not at all: only when the dirty set
-//     is clean for their target (no query changes, candidate skyband
-//     untouched, target unchanged) — then base ranks, hit sets, and the hit
-//     memo are all still exact and the evaluator is rebased onto newIdx.
-//
-// Old-key entries are left to age out of the LRU so in-flight solves against
-// the superseded snapshot stay warm too.
+// Old-key entries leave the table, migrated or not: each pins a superseded
+// index, and in-flight solves against it already hold their vectors (a solve
+// reads the table once, before its first round).
 func MigrateSolveCaches(oldIdx, newIdx *subdomain.Index, ds *subdomain.DirtySet) {
 	if oldIdx == newIdx || !cacheEnabled.Load() || !dirtyInvalidation.Load() {
 		return
 	}
-	migrateThresholds(oldIdx, newIdx, ds)
-	migrateEvaluators(oldIdx, newIdx, ds)
-}
-
-func migrateThresholds(oldIdx, newIdx *subdomain.Index, ds *subdomain.DirtySet) {
-	slots := thresholds.entriesFor(oldIdx)
+	slots := thresholds.take(oldIdx)
 	if len(slots) == 0 {
 		return
 	}
+	current := func(e *thresholdEntry) *thresholdVec {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.vec == nil || e.vec.epoch != oldIdx.Epoch() {
+			return nil // stale against its own snapshot; nothing worth moving
+		}
+		return e.vec
+	}
 	if ds.All() {
 		for _, sl := range slots {
-			sl.val.mu.RLock()
-			n := int64(knownSlots(sl.val.state))
-			sl.val.mu.RUnlock()
-			mCacheEntriesInvalidated.Add(n)
+			if old := current(sl.val); old != nil {
+				mCacheEntriesInvalidated.Add(int64(knownSlots(old.state)))
+			}
 		}
 		return
 	}
-	oldEpoch, newEpoch := oldIdx.Epoch(), newIdx.Epoch()
+	newEpoch := newIdx.Epoch()
 	n := newIdx.Workload().NumQueries()
 	for _, sl := range slots {
-		old := sl.val
-		ne := &thresholdEntry{epoch: newEpoch, state: make([]uint8, n), val: make([]float64, n)}
-		old.mu.RLock()
-		if old.epoch != oldEpoch {
-			old.mu.RUnlock()
-			continue // stale against its own snapshot; nothing worth moving
+		old := current(sl.val)
+		if old == nil {
+			continue
 		}
-		copy(ne.state, old.state)
-		copy(ne.val, old.val)
-		old.mu.RUnlock()
+		nv := newThresholdVec(newIdx, sl.key.target, newEpoch, n)
+		nv.cached = true
+		copy(nv.state, old.state)
+		copy(nv.val, old.val)
+		copy(nv.kth, old.kth)
 		invalidated := 0
 		ds.ForEachQuery(func(j, source int) {
-			if j < n && source != sl.key.target && ne.state[j] != thrUnknown {
-				ne.state[j] = thrUnknown
+			if j < n && source != sl.key.target && nv.state[j] != thrUnknown {
+				nv.state[j] = thrUnknown
 				invalidated++
 			}
 		})
-		retained := knownSlots(ne.state)
+		retained := knownSlots(nv.state)
+		mCacheEntriesInvalidated.Add(int64(invalidated))
 		if retained == 0 {
-			mCacheEntriesInvalidated.Add(int64(invalidated))
 			continue // nothing survived; let the new epoch fill cold
 		}
 		thresholds.getOrCreate(cacheKey{idx: newIdx, target: sl.key.target}, func() *thresholdEntry {
-			return ne
+			mCacheEntriesRetained.Add(int64(retained))
+			return &thresholdEntry{vec: nv}
 		})
-		mCacheEntriesRetained.Add(int64(retained))
-		mCacheEntriesInvalidated.Add(int64(invalidated))
 	}
 }
 
@@ -406,79 +442,4 @@ func knownSlots(state []uint8) int {
 		}
 	}
 	return n
-}
-
-func migrateEvaluators(oldIdx, newIdx *subdomain.Index, ds *subdomain.DirtySet) {
-	slots := evaluators.entriesFor(oldIdx)
-	if len(slots) == 0 {
-		return
-	}
-	oldEpoch, newEpoch := oldIdx.Epoch(), newIdx.Epoch()
-	for _, sl := range slots {
-		e := sl.val
-		if !ds.CleanForTarget(sl.key.target) {
-			e.mu.Lock()
-			mCacheEntriesInvalidated.Add(int64(len(e.idle)))
-			e.idle = nil // they could only rebuild from scratch; free them now
-			e.mu.Unlock()
-			continue
-		}
-		e.mu.Lock()
-		idle := e.idle
-		e.idle = nil
-		if e.epoch != oldEpoch {
-			idle = nil
-		}
-		e.mu.Unlock()
-		var moved []*ese.Evaluator
-		for _, ev := range idle {
-			if ev.Rebase(newIdx) {
-				moved = append(moved, ev)
-			}
-		}
-		if len(moved) == 0 {
-			continue
-		}
-		ne := evaluators.getOrCreate(cacheKey{idx: newIdx, target: sl.key.target}, func() *evaluatorEntry {
-			return &evaluatorEntry{}
-		})
-		ne.mu.Lock()
-		if ne.epoch != newEpoch {
-			ne.idle = nil
-			ne.epoch = newEpoch
-		}
-		for _, ev := range moved {
-			if len(ne.idle) >= idleEvaluatorsMax {
-				break
-			}
-			ne.idle = append(ne.idle, ev)
-		}
-		mCacheEntriesRetained.Add(int64(len(ne.idle)))
-		ne.mu.Unlock()
-	}
-}
-
-// releaseEvaluators parks a solve's evaluators for reuse, up to the
-// per-entry idle bound; overflow is simply dropped for the GC.
-func releaseEvaluators(key cacheKey, pool []*ese.Evaluator) {
-	if len(pool) == 0 || !cacheEnabled.Load() {
-		return
-	}
-	e := evaluators.getOrCreate(key, func() *evaluatorEntry { return &evaluatorEntry{} })
-	epoch := key.idx.Epoch()
-	e.mu.Lock()
-	if e.epoch != epoch {
-		e.idle = nil
-		e.epoch = epoch
-	}
-	for _, ev := range pool {
-		if len(e.idle) >= idleEvaluatorsMax {
-			break
-		}
-		// Detach the solve's context so a later epoch-forced rebuild does
-		// not record spans into this finished solve's trace.
-		ev.Bind(nil)
-		e.idle = append(e.idle, ev)
-	}
-	e.mu.Unlock()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -135,64 +134,6 @@ func TestThresholdCacheStatsZeroWhenDisabled(t *testing.T) {
 	})
 }
 
-// Released evaluators must come back on the next acquire for the same
-// (index, target); an in-place index mutation must invalidate them.
-func TestEvaluatorRecycling(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	idx := fixture(t, rng, 60, 40, 3, 3)
-	ctx := context.Background()
-	withCaches(t, true, func() {
-		pool1, release1, err := AcquireEvaluators(ctx, idx, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := map[interface{}]bool{}
-		for _, ev := range pool1 {
-			first[ev] = true
-		}
-		release1()
-
-		pool2, release2, err := AcquireEvaluators(ctx, idx, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recycled := 0
-		for _, ev := range pool2 {
-			if first[ev] {
-				recycled++
-			}
-		}
-		release2()
-		if recycled == 0 {
-			t.Error("no evaluator recycled on re-acquire")
-		}
-
-		// Mutate the index in place: the epoch advances and parked
-		// evaluators for the old epoch must be dropped, not handed out.
-		epoch := idx.Epoch()
-		if err := idx.UpdateObject(5, vec.Vector{0.5, 0.5, 0.5}); err != nil {
-			t.Fatal(err)
-		}
-		if idx.Epoch() == epoch {
-			t.Fatal("UpdateObject did not advance the epoch")
-		}
-		pool3, release3, err := AcquireEvaluators(ctx, idx, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer release3()
-		for _, ev := range pool3 {
-			if first[ev] {
-				// Recycling across an epoch bump is allowed only because
-				// evaluators self-heal; AcquireEvaluators chooses to drop
-				// them instead, so seeing one here means the epoch check
-				// is broken.
-				t.Error("stale-epoch evaluator recycled")
-			}
-		}
-	})
-}
-
 // In-place mutations (UpdateObject, AddQuery, RemoveQuery) advance the index
 // epoch; cached thresholds from the old epoch must not leak into results.
 // Oracle: the uncached path against the mutated index.
@@ -264,7 +205,7 @@ func TestCachedThresholdMatchesUncached(t *testing.T) {
 			for j := 0; j < idx.Workload().NumQueries(); j++ {
 				// First call fills, second must hit; both must equal the
 				// direct computation bit for bit.
-				want, wantOK := hitThreshold(idx, target, j, nil)
+				want, _, wantOK := hitThreshold(idx, target, j, nil)
 				for pass := 0; pass < 2; pass++ {
 					got, ok := cachedHitThreshold(idx, target, j, nil, nil)
 					if ok != wantOK || got != want {

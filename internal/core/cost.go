@@ -2,7 +2,9 @@
 // Queries. A Min-Cost IQ (Algorithm 3) finds a cheap improvement strategy
 // that makes a target object hit at least τ top-k queries; a Max-Hit IQ
 // (Algorithm 4) maximises hit queries under a cost budget. Both build on the
-// subdomain index and the ESE evaluator, iterate greedy candidate strategies
+// subdomain index's candidate skyband, count hits from cached per-query
+// thresholds (ESE, Algorithm 2, lives in internal/ese for the paper's
+// evaluation-cost reproductions), iterate greedy candidate strategies
 // with the best cost-per-hit ratio, and support user-defined cost functions,
 // validity bounds (frozen or range-limited attributes), multiple target
 // objects (Section 5.1), and non-linear utility spaces (Section 5.2/5.3).

@@ -58,7 +58,7 @@ func MaxHitViews(ctx context.Context, views []ShardView, req MaxHitRequest) (*Re
 }
 
 func maxHitSolve(ctx context.Context, ss *shardSolver, req MaxHitRequest, rec *recorder) (*Result, error) {
-	res, err := ss.start(ctx, req.Cost, req.Workers, func() error {
+	res, err := ss.start(ctx, req.Cost, req.Workers, rec, func() error {
 		if req.Budget < 0 {
 			return fmt.Errorf("core: negative budget %g", req.Budget)
 		}
@@ -67,7 +67,6 @@ func maxHitSolve(ctx context.Context, ss *shardSolver, req MaxHitRequest, rec *r
 	if err != nil {
 		return nil, err
 	}
-	defer ss.close()
 
 	for {
 		res.Iterations++

@@ -35,7 +35,8 @@ type Result struct {
 	Hits int
 	// BaseHits is H(p) before improvement.
 	BaseHits int
-	// Iterations counts greedy rounds; Evaluations counts ESE calls.
+	// Iterations counts greedy rounds; Evaluations counts hit-count
+	// evaluations of candidate strategies.
 	Iterations  int
 	Evaluations int
 	// Stats is the solve's full work profile: probes, prune counts, and
@@ -63,7 +64,7 @@ func MinCostIQ(idx *subdomain.Index, req MinCostRequest) (*Result, error) {
 
 // MinCostIQCtx answers a Min-Cost improvement query with the greedy
 // heuristic of Algorithm 3: each round generates, for every unhit query, the
-// cheapest strategy hitting it, evaluates the candidates with ESE, and
+// cheapest strategy hitting it, counts each candidate's hits, and
 // applies the one with the lowest cost per hit; the paper's anti-overshoot
 // rule returns the cheapest candidate reaching τ rather than overshooting
 // it. Cancellation is observed at every greedy round and inside the
@@ -84,7 +85,7 @@ func MinCostViews(ctx context.Context, views []ShardView, req MinCostRequest) (*
 }
 
 func minCostSolve(ctx context.Context, ss *shardSolver, req MinCostRequest, rec *recorder) (*Result, error) {
-	res, err := ss.start(ctx, req.Cost, req.Workers, func() error {
+	res, err := ss.start(ctx, req.Cost, req.Workers, rec, func() error {
 		if err := CtxErr(ctx); err != nil {
 			return err
 		}
@@ -99,7 +100,6 @@ func minCostSolve(ctx context.Context, ss *shardSolver, req MinCostRequest, rec 
 	if err != nil {
 		return nil, err
 	}
-	defer ss.close()
 
 	for res.Hits < req.Tau {
 		res.Iterations++

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"iq/internal/ese"
+	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
 	"iq/internal/topk"
@@ -50,49 +50,46 @@ func (r *MultiResult) CostPerHit() float64 {
 	return r.TotalCost / float64(r.TotalHits)
 }
 
-// multiState carries the per-target search state.
+// multiState carries the per-target search state. Every target is scored
+// against the original competitors — its threshold vector excludes only the
+// target itself — the convention of the Section 5.1 candidate-generation
+// steps.
 type multiState struct {
-	idx      *subdomain.Index
-	specs    []TargetSpec
-	evs      []*ese.Evaluator
-	releases []func()       // returns each target's evaluator to the cache
-	cur      []vec.Vector   // cumulative strategy per target
-	hits     []map[int]bool // per-target hit sets
-	union    map[int]int    // query -> number of targets hitting it
-	sc       probeScratch   // candidate generation is serial: one scratch
+	idx   *subdomain.Index
+	specs []TargetSpec
+	thr   []*thresholdVec // one filled threshold vector per target
+	cur   []vec.Vector    // cumulative strategy per target
+	hits  []*bitset.Bits  // per-target hit sets
+	union []int           // query -> number of targets hitting it
+	size  int             // queries hit by at least one target
+	probe *bitset.Bits    // one candidate's hit set (generation is serial)
+	sc    probeScratch    // candidate generation is serial: one scratch
 }
 
-func newMultiState(ctx context.Context, idx *subdomain.Index, specs []TargetSpec) (*multiState, error) {
+func newMultiState(ctx context.Context, idx *subdomain.Index, specs []TargetSpec, rec *recorder) (*multiState, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no target objects")
 	}
+	w := idx.Workload()
 	seen := map[int]bool{}
-	st := &multiState{idx: idx, specs: specs, union: map[int]int{}}
+	st := &multiState{idx: idx, specs: specs, union: make([]int, w.NumQueries()),
+		probe: bitset.New(w.NumQueries())}
 	for _, spec := range specs {
 		if err := validateCommon(idx, spec.Target, spec.Cost); err != nil {
-			st.release()
 			return nil, err
 		}
 		if seen[spec.Target] {
-			st.release()
 			return nil, fmt.Errorf("core: duplicate target %d", spec.Target)
 		}
 		seen[spec.Target] = true
-		pool, release, err := AcquireEvaluators(ctx, idx, spec.Target, 1)
-		if err != nil {
-			st.release()
-			return nil, err
-		}
-		ev := pool[0]
-		st.evs = append(st.evs, ev)
-		st.releases = append(st.releases, release)
-		d := len(idx.Workload().Attrs(spec.Target))
-		st.cur = append(st.cur, vec.New(d))
-		hs := map[int]bool{}
-		for j := 0; j < idx.Workload().NumQueries(); j++ {
-			if ev.BaseHit(j) {
-				hs[j] = true
-				st.union[j]++
+		thr := loadThresholds(ctx, idx, spec.Target, rec, nil)
+		st.thr = append(st.thr, thr)
+		st.cur = append(st.cur, vec.New(len(w.Attrs(spec.Target))))
+		hs := bitset.New(w.NumQueries())
+		thr.hitSet(w.Coeff(spec.Target), hs)
+		for j := range st.union {
+			if hs.Get(j) {
+				st.addUnion(j, 1)
 			}
 		}
 		st.hits = append(st.hits, hs)
@@ -100,15 +97,18 @@ func newMultiState(ctx context.Context, idx *subdomain.Index, specs []TargetSpec
 	return st, nil
 }
 
-// release parks every target's evaluator back in the cross-solve cache.
-func (st *multiState) release() {
-	for _, r := range st.releases {
-		r()
+// addUnion adjusts query j's target count by d, tracking the union size.
+func (st *multiState) addUnion(j, d int) {
+	if st.union[j] == 0 {
+		st.size++
 	}
-	st.releases = nil
+	st.union[j] += d
+	if st.union[j] == 0 {
+		st.size--
+	}
 }
 
-func (st *multiState) unionSize() int { return len(st.union) }
+func (st *multiState) unionSize() int { return st.size }
 
 func (st *multiState) totalCost() float64 {
 	c := 0.0
@@ -126,21 +126,16 @@ func (st *multiState) apply(i int, u vec.Vector) error {
 	if err != nil {
 		return err
 	}
-	newHits := st.evs[i].HitSet(coeff)
-	for j := range st.hits[i] {
-		if !newHits[j] {
-			st.union[j]--
-			if st.union[j] == 0 {
-				delete(st.union, j)
-			}
+	st.thr[i].hitSet(coeff, st.probe)
+	for j := range st.union {
+		was, now := st.hits[i].Get(j), st.probe.Get(j)
+		if was && !now {
+			st.addUnion(j, -1)
+		} else if now && !was {
+			st.addUnion(j, 1)
 		}
 	}
-	for j := range newHits {
-		if !st.hits[i][j] {
-			st.union[j]++
-		}
-	}
-	st.hits[i] = newHits
+	st.hits[i].CopyFrom(st.probe)
 	st.cur[i] = vec.Clone(u)
 	return nil
 }
@@ -181,7 +176,7 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 			pctx, psp := obs.StartSpan(ctx, "probe")
 			psp.SetAttr("target", spec.Target)
 			psp.SetAttr("query", j)
-			u, err := solveHit(st.idx, spec.Target, st.cur[i], j, spec.Cost, spec.Bounds, &st.sc, rec)
+			u, err := solveHit(st.thr[i], st.cur[i], j, spec.Cost, spec.Bounds, &st.sc, rec)
 			t1 := rec.solveDone(t0)
 			if err != nil || !spec.Bounds.Contains(u) {
 				rec.pruned.Add(1)
@@ -197,24 +192,22 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 				continue
 			}
 			_, esp := obs.StartSpan(pctx, "eval")
-			newHits := st.evs[i].HitSet(coeff)
-			esp.SetAttr("hits", len(newHits))
+			st.thr[i].hitSet(coeff, st.probe)
+			// Union size if applied.
+			size := st.unionSize()
+			for q := range st.union {
+				was, now := st.hits[i].Get(q), st.probe.Get(q)
+				if was && !now && st.union[q] == 1 {
+					size--
+				} else if now && !was && st.union[q] == 0 {
+					size++
+				}
+			}
+			esp.SetAttr("hits", st.probe.Count())
 			esp.End()
 			rec.evalDone(t1)
 			psp.End()
 			evals++
-			// Union size if applied.
-			size := st.unionSize()
-			for q := range st.hits[i] {
-				if !newHits[q] && st.union[q] == 1 {
-					size--
-				}
-			}
-			for q := range newHits {
-				if !st.hits[i][q] && st.union[q] == 0 {
-					size++
-				}
-			}
 			out = append(out, multiCandidate{
 				slot:      i,
 				strategy:  u,
@@ -254,11 +247,10 @@ func CombinatorialMinCostIQCtx(ctx context.Context, idx *subdomain.Index, specs 
 }
 
 func combMinCostSolve(ctx context.Context, idx *subdomain.Index, specs []TargetSpec, tau int, rec *recorder) (*MultiResult, error) {
-	st, err := newMultiState(ctx, idx, specs)
+	st, err := newMultiState(ctx, idx, specs, rec)
 	if err != nil {
 		return nil, err
 	}
-	defer st.release()
 	w := idx.Workload()
 	if tau > w.NumQueries() {
 		return nil, fmt.Errorf("core: tau %d exceeds query count %d: %w", tau, w.NumQueries(), ErrGoalUnreachable)
@@ -344,11 +336,10 @@ func combMaxHitSolve(ctx context.Context, idx *subdomain.Index, specs []TargetSp
 	if budget < 0 {
 		return nil, fmt.Errorf("core: negative budget %g", budget)
 	}
-	st, err := newMultiState(ctx, idx, specs)
+	st, err := newMultiState(ctx, idx, specs, rec)
 	if err != nil {
 		return nil, err
 	}
-	defer st.release()
 	w := idx.Workload()
 	res := &MultiResult{Strategies: map[int]vec.Vector{}}
 	for {

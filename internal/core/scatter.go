@@ -5,8 +5,13 @@ package core
 // workload as a list of ShardViews and ask the coordinator for one round of
 // candidates at a time. The monolithic engine is the one-view case: a round
 // is one generateCandidates call on the caller's goroutine whose slice is
-// returned as-is — no scatter goroutine, no flatten copy, no gather, no
-// per-shard accounting.
+// returned as-is — no scatter goroutine, no flatten copy, no per-shard
+// accounting.
+//
+// Every view contributes one filled threshold vector for the target (see
+// cache.go), loaded once when the solve starts. Together they are the
+// solve's hit counter: H(p+s) is the sum of the per-view counts, and any
+// goroutine may compute it, because the vectors are read-only.
 //
 // A sharded iq.System partitions the query workload by query-space position
 // into N shard indexes (every shard sees all objects, each query lives in
@@ -17,19 +22,15 @@ package core
 //     exactly the monolithic round's probe set, and each per-query strategy
 //     depends only on (threshold, current strategy, query, cost, bounds) —
 //     all shard-independent. Per-shard skybands oversize k past any owned
-//     query's K, so thresholds match the monolithic index bit for bit.
-//   gather — per-shard hit counts are completed into global hit counts: for
-//     every surviving candidate, each non-owning shard's evaluator counts
-//     hits among its own queries and the coordinator sums. Shard t's
-//     contributions are computed by one goroutine owning evaluator t (the
-//     scatter fan-out has joined, so the evaluator is free), so the gather
-//     parallelises as well as the scatter.
+//     query's K, so thresholds match the monolithic index bit for bit. Each
+//     probe counts its hits over every shard's vector, so candidates leave
+//     the scatter with global hit counts and no gather pass is needed.
 //   select/apply — bestRatio, anti-overshoot, and the fill pass run on the
-//     gathered candidates with globalized query indices. All three break
+//     flattened candidates with globalized query indices. All three break
 //     ties through (ratio, cost, query) or (cost, query), total orders over
 //     unique query indices, so candidate ORDER is irrelevant and the winner
 //     equals the monolithic winner. The winner's hit set is fanned back out
-//     (one HitSetBits per shard over the shard-local bitset).
+//     (one hitSet per shard over the shard-local bitset).
 //
 // Iteration counting, cancellation checkpoints, and guard thresholds (always
 // against the GLOBAL query count) are shared by construction, so results are
@@ -44,7 +45,6 @@ import (
 	"time"
 
 	"iq/internal/bitset"
-	"iq/internal/ese"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
 	"iq/internal/vec"
@@ -63,17 +63,18 @@ type ShardView struct {
 }
 
 // shardSolver carries the per-shard state one solve reuses across greedy
-// rounds: evaluator pools, shard-local hit bitsets, probe scratch, and (with
-// more than one view) per-shard busy-time accounting.
+// rounds: the threshold vectors (the hit counter), shard-local hit bitsets,
+// probe scratch, and (with more than one view) per-shard busy-time
+// accounting.
 type shardSolver struct {
-	views  []ShardView
-	target int
-	nq     int // global query count (tombstones included), Σ shard counts
-	pools  [][]*ese.Evaluator
-	rel    []func()
-	hit    []*bitset.Bits
-	rs     []*roundScratch
-	busy   []int64 // ns of shard-local work, indexed by shard; nil for one view
+	views   []ShardView
+	target  int
+	nq      int // global query count (tombstones included), Σ shard counts
+	workers int // per-shard probe fan-out, clamped per round
+	thr     hitCounter
+	hit     []*bitset.Bits
+	rs      []*roundScratch
+	busy    []int64 // ns of shard-local work, indexed by shard; nil for one view
 }
 
 func newShardSolver(views []ShardView, target int) *shardSolver {
@@ -84,41 +85,6 @@ func newShardSolver(views []ShardView, target int) *shardSolver {
 	return ss
 }
 
-// acquire checks out one evaluator pool per shard (each keyed by the shard's
-// index, so the cross-solve caches stay per-shard) and seeds the shard-local
-// base hit sets. workers bounds the per-shard probe fan-out. Busy-time
-// accounting starts once every shard is acquired.
-func (ss *shardSolver) acquire(ctx context.Context, workers int) error {
-	n := len(ss.views)
-	ss.pools = make([][]*ese.Evaluator, n)
-	ss.rel = make([]func(), 0, n)
-	ss.hit = make([]*bitset.Bits, n)
-	ss.rs = make([]*roundScratch, n)
-	for t, v := range ss.views {
-		pool, release, err := AcquireEvaluators(ctx, v.Idx, ss.target, workers)
-		if err != nil {
-			ss.close()
-			return err
-		}
-		ss.pools[t] = pool
-		ss.rel = append(ss.rel, release)
-		ss.hit[t] = bitset.New(v.Idx.Workload().NumQueries())
-		pool[0].BaseHitSet(ss.hit[t])
-		ss.rs[t] = &roundScratch{}
-	}
-	if n > 1 {
-		ss.busy = make([]int64, n)
-	}
-	return nil
-}
-
-func (ss *shardSolver) close() {
-	for _, rel := range ss.rel {
-		rel()
-	}
-	ss.rel = nil
-}
-
 // charge adds the time since t0 to shard t's busy total (multi-view only).
 func (ss *shardSolver) charge(t int, t0 time.Time) {
 	if ss.busy != nil {
@@ -126,13 +92,14 @@ func (ss *shardSolver) charge(t int, t0 time.Time) {
 	}
 }
 
-// start validates the request parts every solve shares, acquires the
-// evaluators, and returns the zero-strategy result. Every shard workload
-// holds the full object table, so shard 0 answers the target checks; every
-// query is owned by exactly one shard, so the base hit counts sum to the
-// global one. check runs between the shared validation and the evaluator
-// build, in the order the solver's error precedence needs.
-func (ss *shardSolver) start(ctx context.Context, cost Cost, workers int, check func() error) (*Result, error) {
+// start validates the request parts every solve shares, loads one filled
+// threshold vector per shard, seeds the shard-local base hit sets, and
+// returns the zero-strategy result. Every shard workload holds the full
+// object table, so shard 0 answers the target checks; every query is owned
+// by exactly one shard, so the base hit counts sum to the global one. check
+// runs between the shared validation and the threshold fill, in the order
+// the solver's error precedence needs.
+func (ss *shardSolver) start(ctx context.Context, cost Cost, workers int, rec *recorder, check func() error) (*Result, error) {
 	if len(ss.views) == 0 {
 		return nil, fmt.Errorf("core: sharded solve with no shards")
 	}
@@ -142,12 +109,21 @@ func (ss *shardSolver) start(ctx context.Context, cost Cost, workers int, check 
 	if err := check(); err != nil {
 		return nil, err
 	}
-	if err := ss.acquire(ctx, workers); err != nil {
-		return nil, err
-	}
+	n := len(ss.views)
+	ss.workers = workers
+	ss.thr = make(hitCounter, n)
+	ss.hit = make([]*bitset.Bits, n)
+	ss.rs = make([]*roundScratch, n)
 	base := 0
-	for t := range ss.views {
-		base += ss.pools[t][0].BaseHits()
+	for t, v := range ss.views {
+		ss.rs[t] = &roundScratch{}
+		ss.thr[t] = loadThresholds(ctx, v.Idx, ss.target, rec, ss.rs[t].attribution(rec, v.Idx))
+		ss.hit[t] = bitset.New(v.Idx.Workload().NumQueries())
+		ss.thr[t].hitSet(v.Idx.Workload().Coeff(ss.target), ss.hit[t])
+		base += ss.hit[t].Count()
+	}
+	if n > 1 {
+		ss.busy = make([]int64, n)
 	}
 	d := len(ss.views[0].Idx.Workload().Attrs(ss.target))
 	return &Result{Strategy: vec.New(d), BaseHits: base, Hits: base}, nil
@@ -160,7 +136,7 @@ func (ss *shardSolver) start(ctx context.Context, cost Cost, workers int, check 
 // freshly allocated per probe either way.
 func (ss *shardSolver) round(ctx context.Context, cur vec.Vector, cost Cost, bounds *Bounds, rec *recorder) ([]Candidate, error) {
 	if len(ss.views) == 1 {
-		return generateCandidates(ctx, ss.views[0].Idx, ss.pools[0], ss.target, cur, ss.hit[0], cost, bounds, ss.rs[0], rec)
+		return generateCandidates(ctx, ss.thr, 0, ss.workers, cur, ss.hit[0], cost, bounds, ss.rs[0], rec)
 	}
 	n := len(ss.views)
 	sctx, ssp := obs.StartSpan(ctx, "scatter")
@@ -173,8 +149,8 @@ func (ss *shardSolver) round(ctx context.Context, cur vec.Vector, cost Cost, bou
 		go func(t int) {
 			defer wg.Done()
 			t0 := time.Now()
-			perShard[t], errs[t] = generateCandidates(sctx, ss.views[t].Idx,
-				ss.pools[t], ss.target, cur, ss.hit[t], cost, bounds, ss.rs[t], rec)
+			perShard[t], errs[t] = generateCandidates(sctx, ss.thr, t, ss.workers,
+				cur, ss.hit[t], cost, bounds, ss.rs[t], rec)
 			ss.charge(t, t0)
 		}(t)
 	}
@@ -186,82 +162,22 @@ func (ss *shardSolver) round(ctx context.Context, cur vec.Vector, cost Cost, bou
 		}
 	}
 
-	// Flatten shard-major: globalize query indices and remember owners.
-	// Per-shard slices alias each shard's roundScratch and are dead after
-	// this copy.
+	// Flatten shard-major and globalize query indices. Per-shard slices
+	// alias each shard's roundScratch and are dead after this copy.
 	var flat []Candidate
-	var owner []int
 	for t, cands := range perShard {
 		for _, c := range cands {
 			c.Query = ss.views[t].GlobalQ[c.Query]
 			flat = append(flat, c)
-			owner = append(owner, t)
-		}
-	}
-	if len(flat) == 0 {
-		return flat, nil
-	}
-
-	// Improved coefficients per candidate, computed once and read-only for
-	// every gather goroutine. Each candidate already embedded successfully
-	// inside its owning shard's probe, so failure here is impossible for
-	// the same inputs; the error path stays for defense.
-	w := ss.views[0].Idx.Workload()
-	attrs := w.Attrs(ss.target)
-	coeffs := make([]vec.Vector, len(flat))
-	for i, c := range flat {
-		coeff, err := w.Space().Embed(vec.Add(attrs, c.Strategy))
-		if err != nil {
-			return nil, err
-		}
-		coeffs[i] = coeff
-	}
-
-	// Gather: shard t's goroutine owns evaluator t exclusively and counts
-	// that shard's hits for every candidate it does NOT own (owned hits
-	// were already counted during the probe). Contributions land in
-	// per-shard slices; the coordinator sums after the join, in fixed
-	// shard order.
-	_, gsp := obs.StartSpan(ctx, "gather")
-	gsp.SetAttr("shards", n)
-	gsp.SetAttr("cands", len(flat))
-	contrib := make([][]int, n)
-	var gw sync.WaitGroup
-	for t := range ss.views {
-		gw.Add(1)
-		go func(t int) {
-			defer gw.Done()
-			t0 := time.Now()
-			ct := make([]int, len(flat))
-			ev := ss.pools[t][0]
-			for i := range flat {
-				if owner[i] != t {
-					ct[i] = ev.HitsWithCoeff(coeffs[i])
-				}
-			}
-			contrib[t] = ct
-			ss.charge(t, t0)
-		}(t)
-	}
-	gw.Wait()
-	gsp.End()
-	if err := CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	for i := range flat {
-		for t := 0; t < n; t++ {
-			if owner[i] != t {
-				flat[i].Hits += contrib[t][i]
-			}
 		}
 	}
 	return flat, nil
 }
 
 // adopt makes candidate c the solve's current strategy: every shard
-// refreshes its local hit bitset from the improved coefficients (HitSetBits
-// only reads coeff), then res takes c's strategy, cost, and hits. On an
-// embedding error res is left untouched.
+// refreshes its local hit bitset from the improved coefficients, then res
+// takes c's strategy, cost, and hits. On an embedding error res is left
+// untouched.
 func (ss *shardSolver) adopt(res *Result, c Candidate, cost Cost) error {
 	w := ss.views[0].Idx.Workload()
 	coeff, err := w.Space().Embed(vec.Add(w.Attrs(ss.target), c.Strategy))
@@ -270,7 +186,7 @@ func (ss *shardSolver) adopt(res *Result, c Candidate, cost Cost) error {
 	}
 	for t := range ss.views {
 		t0 := time.Now()
-		ss.pools[t][0].HitSetBits(coeff, ss.hit[t])
+		ss.thr[t].hitSet(coeff, ss.hit[t])
 		ss.charge(t, t0)
 	}
 	res.Strategy = vec.Clone(c.Strategy)

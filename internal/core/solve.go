@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"iq/internal/bitset"
-	"iq/internal/ese"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
 	"iq/internal/topk"
@@ -29,10 +28,10 @@ var ErrGoalUnreachable = errors.New("core: improvement goal unreachable")
 
 // strictMargin keeps the improved score strictly below the k-th score, as
 // Equation 6 demands. It is deliberately larger than floating-point noise:
-// minimum-cost strategies land exactly on constraint boundaries, and the
-// evaluator's sign computations (normal-vector dot products) round
-// differently from scalar score comparisons, so a knife-edge solution could
-// otherwise flip between "hit" and "miss" across code paths.
+// minimum-cost strategies land exactly on constraint boundaries, and ESE's
+// sign computations (normal-vector dot products) round differently from the
+// scalar score comparisons of the threshold count, so a knife-edge solution
+// could otherwise flip between "hit" and "miss" across code paths.
 func strictMargin(t float64) float64 {
 	return 1e-7 * (1 + absF(t))
 }
@@ -56,13 +55,11 @@ type probeScratch struct {
 	// counts aliases the solve's dense per-query attribution table
 	// (roundScratch.counts; nil while analytics are off). Each round probes a
 	// query from exactly one worker (slot striding) and rounds are separated
-	// by the fan-out join, so plain increments need no synchronisation. cur
-	// holds the in-flight probe's query index so the threshold-cache path can
-	// attribute its hit/miss without a second table lookup. Region resolution
-	// is deferred to the per-solve flush (recorder.regionSamples), keeping
-	// the probe hot path to two array writes.
+	// by the fan-out join, so plain increments need no synchronisation.
+	// Region resolution is deferred to the per-solve flush
+	// (recorder.regionSamples), keeping the probe hot path to two array
+	// writes.
 	counts []queryCounts
-	cur    int
 }
 
 // queryCounts is one query's row in a solve's dense attribution table.
@@ -70,33 +67,20 @@ type queryCounts struct {
 	probes, thrHits, thrMisses int32
 }
 
-// noteThreshold attributes one threshold-cache lookup to the in-flight
-// probe's query. Nil-safe; a no-op unless analytics attribution is on.
-func (sc *probeScratch) noteThreshold(hit bool) {
-	if sc == nil || sc.counts == nil {
-		return
-	}
-	if hit {
-		sc.counts[sc.cur].thrHits++
-	} else {
-		sc.counts[sc.cur].thrMisses++
-	}
-}
-
 // noteProbe charges one probe to query j's row.
 func (sc *probeScratch) noteProbe(j int) {
 	sc.counts[j].probes++
-	sc.cur = j
 }
 
-// hitThreshold computes the score the improved target must beat at query j:
-// the k-th best score among the other live objects (restricted to the
-// candidate skyband, which contains every possible top-k member). It
-// returns ok=false when the query has no k-th competitor (fewer than k other
-// objects — any score hits). sc (optional) supplies the reusable filtered
-// slice; when the target is not itself a candidate the skyband list is used
-// as-is, with no copy at all (EvaluateAmong treats it as read-only).
-func hitThreshold(idx *subdomain.Index, target, j int, sc *probeScratch) (float64, bool) {
+// hitThreshold finds the competitor the improved target must beat at query
+// j: the k-th best (score, id) among the other live objects (restricted to
+// the candidate skyband, which contains every possible top-k member). The
+// id breaks score ties the way topk.Better does. It returns ok=false when
+// the query has no k-th competitor (fewer than k other objects — any score
+// hits). sc (optional) supplies the reusable filtered slice; when the target
+// is not itself a candidate the skyband list is used as-is, with no copy at
+// all (EvaluateAmong treats it as read-only).
+func hitThreshold(idx *subdomain.Index, target, j int, sc *probeScratch) (float64, int, bool) {
 	w := idx.Workload()
 	q := w.Query(j)
 	// Evaluate among candidates excluding the target.
@@ -119,23 +103,30 @@ func hitThreshold(idx *subdomain.Index, target, j int, sc *probeScratch) (float6
 		}
 		eval = filtered
 	}
+	if len(eval) == 0 {
+		// No competitor at all. Checked here because EvaluateAmong reads a
+		// nil list (an emptied scratch slice) as "every object", target
+		// included.
+		return 0, 0, false
+	}
 	res := w.EvaluateAmong(eval, q)
 	if len(res.Ordered) < q.K {
-		return 0, false
+		return 0, 0, false
 	}
-	return res.KthScore, true
+	return res.KthScore, res.Ordered[len(res.Ordered)-1], true
 }
 
 // solveHit finds a low-cost cumulative strategy u (relative to the target's
-// original attributes) such that the target improved by u hits query j.
+// original attributes) such that the target improved by u hits query j,
+// reading j's threshold from the target's filled vector thr.
 // cur is the currently accumulated strategy; the returned u extends it
 // (u = cur for queries already hit). The cost minimised is Cost(u), the
 // total cost of the final strategy, matching Definitions 2–3.
-func solveHit(idx *subdomain.Index, target int, cur vec.Vector, j int, cost Cost, bounds *Bounds, sc *probeScratch, rec *recorder) (vec.Vector, error) {
-	w := idx.Workload()
+func solveHit(thr *thresholdVec, cur vec.Vector, j int, cost Cost, bounds *Bounds, sc *probeScratch, rec *recorder) (vec.Vector, error) {
+	w, target := thr.idx.Workload(), thr.target
 	space := w.Space()
 	q := w.Query(j)
-	threshold, bounded := cachedHitThreshold(idx, target, j, sc, rec)
+	threshold, bounded := thr.threshold(j, sc, rec)
 	if !bounded {
 		return vec.Clone(cur), nil // fewer than k competitors: already hit
 	}
@@ -299,12 +290,36 @@ type roundScratch struct {
 	counts []queryCounts
 }
 
+// hitCounter counts H(p+s) over a workload laid out as shard views: one
+// filled threshold vector per view, summed (every query lives in exactly one
+// view). The vectors are read-only, so every worker of every view shares
+// them.
+type hitCounter []*thresholdVec
+
+func (hc hitCounter) count(coeff vec.Vector) int {
+	n := 0
+	for _, v := range hc {
+		n += v.count(coeff)
+	}
+	return n
+}
+
+// attribution returns the solve's dense per-query attribution table for the
+// view rs serves, allocating and registering it with rec on first use; nil
+// while analytics are off.
+func (rs *roundScratch) attribution(rec *recorder, idx *subdomain.Index) []queryCounts {
+	if rec.attrib && rs.counts == nil {
+		rs.counts = make([]queryCounts, idx.Workload().NumQueries())
+		rec.attach(rs, idx)
+	}
+	return rs.counts
+}
+
 // generateCandidates implements the shared inner loop of Algorithms 3 and 4
-// (lines 4–8): for every query not currently hit, the min-cost strategy that
-// hits it, evaluated with ESE. With more than one evaluator in the pool the
-// per-query work fans out across goroutines (each evaluator owns mutable
-// scratch state, so one goroutine per evaluator, and likewise one
-// probeScratch and embed buffer per worker).
+// (lines 4–8): for every query of view self not currently hit, the min-cost
+// strategy that hits it, with its hit count over every view of hc. With more
+// than one worker (after clampWorkers) the per-query work fans out across
+// goroutines, each with its own probeScratch and embed buffer.
 //
 // The returned slice aliases rs.cands and is overwritten by the next call;
 // the Strategy vectors inside it are freshly allocated per probe and safe to
@@ -317,8 +332,11 @@ type roundScratch struct {
 // returns a nil candidate slice with the translated context error, so the
 // solvers discard the round's partial work instead of greedily applying a
 // winner chosen from whatever subset happened to finish.
-func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.Evaluator, target int, cur vec.Vector, hit *bitset.Bits, cost Cost, bounds *Bounds, rs *roundScratch, rec *recorder) ([]Candidate, error) {
+func generateCandidates(ctx context.Context, hc hitCounter, self, workers int, cur vec.Vector, hit *bitset.Bits, cost Cost, bounds *Bounds, rs *roundScratch, rec *recorder) ([]Candidate, error) {
+	thr := hc[self]
+	idx, target := thr.idx, thr.target
 	w := idx.Workload()
+	workers = clampWorkers(workers, w.NumQueries())
 	rs.unhit = rs.unhit[:0]
 	for j := 0; j < w.NumQueries(); j++ {
 		if !hit.Get(j) && !w.IsQueryRemoved(j) {
@@ -328,7 +346,7 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 	unhit := rs.unhit
 	ctx, csp := obs.StartSpan(ctx, "candidates")
 	csp.SetAttr("unhit", len(unhit))
-	csp.SetAttr("workers", len(pool))
+	csp.SetAttr("workers", workers)
 	defer csp.End()
 	if cap(rs.results) < len(unhit) {
 		rs.results = make([]Candidate, len(unhit))
@@ -339,22 +357,18 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 	for i := range valid {
 		valid[i] = false
 	}
-	if len(rs.probes) < len(pool) {
-		rs.probes = make([]probeScratch, len(pool))
-		rs.embed = make([]vec.Vector, len(pool))
+	if len(rs.probes) < workers {
+		rs.probes = make([]probeScratch, workers)
+		rs.embed = make([]vec.Vector, workers)
 	}
-	if rec.attrib {
-		if rs.counts == nil {
-			rs.counts = make([]queryCounts, w.NumQueries())
-			rec.attach(rs, idx)
-		}
+	if counts := rs.attribution(rec, idx); counts != nil {
 		for i := range rs.probes {
-			rs.probes[i].counts = rs.counts
+			rs.probes[i].counts = counts
 		}
 	}
 	linear := w.Space().Linear()
 	attrs := w.Attrs(target)
-	probe := func(pctx context.Context, ev *ese.Evaluator, wkr, slot int) {
+	probe := func(pctx context.Context, wkr, slot int) {
 		fireProbe(slot)
 		t0 := rec.probeStart()
 		j := unhit[slot]
@@ -363,7 +377,7 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 		}
 		pctx, psp := obs.StartSpan(pctx, "probe")
 		psp.SetAttr("query", j)
-		u, err := solveHit(idx, target, cur, j, cost, bounds, &rs.probes[wkr], rec)
+		u, err := solveHit(thr, cur, j, cost, bounds, &rs.probes[wkr], rec)
 		t1 := rec.solveDone(t0)
 		if err != nil {
 			rec.pruned.Add(1)
@@ -398,7 +412,7 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 			}
 		}
 		_, esp := obs.StartSpan(pctx, "eval")
-		h := ev.HitsWithCoeff(coeff)
+		h := hc.count(coeff)
 		esp.SetAttr("hits", h)
 		esp.End()
 		rec.evalDone(t1)
@@ -406,27 +420,27 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 		valid[slot] = true
 		psp.End()
 	}
-	if len(pool) <= 1 || len(unhit) < 2*len(pool) {
+	if workers <= 1 || len(unhit) < 2*workers {
 		for slot := range unhit {
 			if ctx.Err() != nil {
 				break
 			}
-			probe(ctx, pool[0], 0, slot)
+			probe(ctx, 0, slot)
 		}
 	} else {
 		var wg sync.WaitGroup
-		for wkr := range pool {
+		for wkr := 0; wkr < workers; wkr++ {
 			wg.Add(1)
 			go func(wkr int) {
 				defer wg.Done()
 				wctx, wsp := obs.StartSpan(ctx, "worker")
 				wsp.SetAttr("worker", wkr)
 				defer wsp.End()
-				for slot := wkr; slot < len(unhit); slot += len(pool) {
+				for slot := wkr; slot < len(unhit); slot += workers {
 					if ctx.Err() != nil {
 						return
 					}
-					probe(wctx, pool[wkr], wkr, slot)
+					probe(wctx, wkr, slot)
 				}
 			}(wkr)
 		}
@@ -446,7 +460,7 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 
 // clampWorkers bounds a request's Workers knob to sane values: anything
 // below 1 (including negative) means serial, and there is no point building
-// more evaluators than there are queries to probe or CPUs to run them on.
+// more workers than there are queries to probe or CPUs to run them on.
 // GOMAXPROCS is the throughput ceiling, but at least two workers are always
 // allowed so the concurrent path stays exercised (and race-testable) on
 // single-CPU hosts — extra goroutines are harmless there, just not faster.
@@ -465,24 +479,6 @@ func clampWorkers(workers, queries int) int {
 		workers = queries
 	}
 	return workers
-}
-
-// evaluatorPool builds `workers` (after clamping) independent evaluators
-// for one target. Each evaluator carries its own scratch state — the delta
-// buffers and rank caches are mutable — so evaluators are never shared
-// between goroutines; the pool size bounds candidate-generation
-// parallelism. The context is only used for tracing (ese/build spans).
-func evaluatorPool(ctx context.Context, idx *subdomain.Index, target, workers int) ([]*ese.Evaluator, error) {
-	workers = clampWorkers(workers, idx.Workload().NumQueries())
-	pool := make([]*ese.Evaluator, workers)
-	for i := range pool {
-		ev, err := ese.NewCtx(ctx, idx, target)
-		if err != nil {
-			return nil, err
-		}
-		pool[i] = ev
-	}
-	return pool, nil
 }
 
 // bestRatio returns the candidate minimising cost per hit (Algorithm 3

@@ -20,9 +20,10 @@ import (
 	"iq/internal/subdomain"
 )
 
-// SolveStats profiles one solve. Stage wall times cover the two halves of
-// every candidate probe: SolveHitWall is the per-query min-cost subproblem
-// (Equations 13–14), EvalWall the ESE hit-count evaluation (Algorithm 2).
+// SolveStats profiles one solve. Stage wall times cover the solve's setup
+// and the two halves of every candidate probe: ThresholdWall is the
+// threshold-vector fill, SolveHitWall the per-query min-cost subproblem
+// (Equations 13–14), EvalWall the hit count over the threshold vectors.
 // Timing is sampled only while obs.Enabled(); the integer counters are
 // always collected.
 type SolveStats struct {
@@ -31,17 +32,22 @@ type SolveStats struct {
 	// Probes counts per-query candidate solves attempted, including ones
 	// discarded as infeasible.
 	Probes int `json:"probes"`
-	// Pruned counts probes discarded before ESE evaluation: the per-query
+	// Pruned counts probes discarded before their hit count: the per-query
 	// subproblem was infeasible, violated bounds, or failed to embed.
 	Pruned int `json:"pruned"`
-	// Candidates counts probes that survived to an ESE evaluation.
+	// Candidates counts probes that survived to a hit count.
 	Candidates int `json:"candidates"`
 	// Wall is the solve's total wall time.
 	Wall time.Duration `json:"wall_ns"`
 	// SolveHitWall accumulates time in per-query min-cost subproblems.
 	SolveHitWall time.Duration `json:"solve_hit_wall_ns"`
-	// EvalWall accumulates time in ESE hit-count evaluations.
+	// EvalWall accumulates time counting candidate hits against the
+	// threshold vectors.
 	EvalWall time.Duration `json:"eval_wall_ns"`
+	// ThresholdWall is the time this solve spent filling threshold slots —
+	// the k-th competitor score per (target, query) a cold solve computes
+	// and a warm one finds cached.
+	ThresholdWall time.Duration `json:"threshold_wall_ns"`
 	// ThresholdCacheHits/ThresholdCacheMisses count hit-threshold lookups
 	// served from (resp. filled into) the cross-solve epoch-keyed cache.
 	// Both stay zero when the solve caches are disabled.
@@ -68,7 +74,9 @@ type recorder struct {
 	pruned atomic.Int64
 	cands  atomic.Int64
 	solve  atomic.Int64 // ns in solveHit
-	eval   atomic.Int64 // ns in ESE evaluation
+	eval   atomic.Int64 // ns counting candidate hits
+	// thrFill is ns spent filling threshold slots.
+	thrFill atomic.Int64
 	// Threshold-cache traffic attributable to this solve (the process-wide
 	// obs counters aggregate across solves).
 	thrHits   atomic.Int64
@@ -98,19 +106,6 @@ func (r *recorder) attach(rs *roundScratch, idx *subdomain.Index) {
 	r.attrMu.Lock()
 	r.attr = append(r.attr, attrPair{rs: rs, idx: idx})
 	r.attrMu.Unlock()
-}
-
-// thresholdLookup records one cachedHitThreshold outcome. Nil-safe: callers
-// outside a solve (the exhaustive verifier) pass a nil recorder.
-func (r *recorder) thresholdLookup(hit bool) {
-	if r == nil {
-		return
-	}
-	if hit {
-		r.thrHits.Add(1)
-	} else {
-		r.thrMisses.Add(1)
-	}
 }
 
 func newRecorder() *recorder {
@@ -280,6 +275,7 @@ func (r *recorder) stats(rounds int, wall time.Duration, err error) SolveStats {
 		Wall:                 wall,
 		SolveHitWall:         time.Duration(r.solve.Load()),
 		EvalWall:             time.Duration(r.eval.Load()),
+		ThresholdWall:        time.Duration(r.thrFill.Load()),
 		ThresholdCacheHits:   int(r.thrHits.Load()),
 		ThresholdCacheMisses: int(r.thrMisses.Load()),
 		CancelCause:          cancelCause(err),
@@ -336,6 +332,7 @@ func endSolveSpan(sp *obs.Span, st SolveStats, err error) {
 	sp.SetAttr("candidates", st.Candidates)
 	sp.SetAttr("solve_hit_wall", st.SolveHitWall)
 	sp.SetAttr("eval_wall", st.EvalWall)
+	sp.SetAttr("threshold_wall", st.ThresholdWall)
 	sp.End()
 }
 
@@ -361,7 +358,7 @@ func finishSolve(ctx context.Context, op string, target int, start time.Time, re
 	obs.Default.Counter("iq_solve_probes_total",
 		"Candidate probes attempted.", "op", op).Add(int64(st.Probes))
 	obs.Default.Counter("iq_solve_pruned_total",
-		"Candidate probes discarded before ESE evaluation.", "op", op).Add(int64(st.Pruned))
+		"Candidate probes discarded before their hit count.", "op", op).Add(int64(st.Pruned))
 	obs.Log(ctx).DebugContext(ctx, "solve finished",
 		"op", op,
 		"outcome", outcomeOf(err),

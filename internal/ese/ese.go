@@ -12,9 +12,7 @@ package ese
 import (
 	"context"
 	"fmt"
-	"math"
 
-	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/rtree"
 	"iq/internal/subdomain"
@@ -44,14 +42,7 @@ var (
 		"Per-subdomain rank cache hits.")
 	mRankCacheMisses = obs.Default.Counter("iq_ese_rank_cache_misses_total",
 		"Per-subdomain rank cache misses (one top-k evaluation each).")
-	mHitMemoHits = obs.Default.Counter("iq_ese_hit_memo_hits_total",
-		"Hit-count evaluations answered from the per-evaluator coefficient memo.")
 )
-
-// hitMemoMax bounds the per-evaluator coefficient→hits memo. Entries are a
-// few dozen bytes each, so the worst case per evaluator stays well under a
-// megabyte; the memo is dropped wholesale on every epoch rebuild.
-const hitMemoMax = 1 << 13
 
 // Evaluator computes hit counts for improvement strategies applied to one
 // target object. It caches per-subdomain target ranks (one evaluation per
@@ -78,10 +69,6 @@ type Evaluator struct {
 	rankByQuery []int
 	baseHits    int
 	baseSet     map[int]bool // query indices hit by the unimproved target
-	// baseBits mirrors baseSet as a bitset so the solvers' hot round loops
-	// can copy the base hit set without allocating a map.
-	baseBits *bitset.Bits
-
 	// pairNormal caches coeff(target) − coeff(l) per competitor l: the
 	// normal of the old intersection hyperplane (Eq. 2), fixed across the
 	// many strategies one evaluator probes.
@@ -98,23 +85,14 @@ type Evaluator struct {
 	deltaBuf []int32
 	touched  []int
 
-	// hitMemo caches HitsWithCoeff results by the improved coefficient
-	// vector's bit pattern. Hit counts are a pure function of (epoch,
-	// target, newCoeff), so within one epoch a memoised answer is the
-	// previously computed one — and recycled evaluators carry the memo
-	// across solves, which is what makes repeated improvement queries
-	// against one snapshot cheap. Cleared by rebuild on epoch change.
-	hitMemo map[string]int
-	keyBuf  []byte // scratch for the memo key (no alloc on the hit path)
-
 	// Pair-level event counts staged locally (the evaluator is owned by
 	// one goroutine) and flushed to the package counters per evaluation.
 	pendSlab  int64
 	pendPrune int64
 
-	// ctx carries the solve's trace (if any) for ese/rebuild spans; an
-	// evaluator is a per-solve object owned by one goroutine, so retaining
-	// the solve's context here is sound. Never nil.
+	// ctx carries the caller's trace (if any) for ese/rebuild spans; an
+	// evaluator is owned by one goroutine, so retaining the context here is
+	// sound. Never nil.
 	ctx context.Context
 }
 
@@ -152,14 +130,7 @@ func (e *Evaluator) rebuild() {
 	e.rankByQuery = nil
 	e.baseHits = 0
 	e.baseSet = map[int]bool{}
-	if e.baseBits == nil {
-		e.baseBits = bitset.New(w.NumQueries())
-	} else {
-		e.baseBits.Grow(w.NumQueries())
-		e.baseBits.Reset()
-	}
 	e.pairNormal = make(map[int]vec.Vector, len(idx.Candidates()))
-	e.hitMemo = make(map[string]int)
 	e.deltaBuf = make([]int32, w.NumQueries())
 	e.touched = e.touched[:0]
 	dim := w.Space().QueryDim()
@@ -196,7 +167,6 @@ func (e *Evaluator) rebuild() {
 		if rank <= w.Query(j).K {
 			e.baseHits++
 			e.baseSet[j] = true
-			e.baseBits.Set(j)
 		}
 	}
 }
@@ -234,60 +204,10 @@ func (e *Evaluator) Target() int { return e.target }
 // Index returns the subdomain index the evaluator was built against.
 func (e *Evaluator) Index() *subdomain.Index { return e.idx }
 
-// Rebase re-attaches the evaluator to a successor index snapshot whose
-// mutations left every cached structure bit-identical. The caller — the
-// cache-migration layer in internal/core — guarantees, via
-// DirtySet.CleanForTarget, that between e's snapshot and next: the query set
-// is unchanged, the candidate skyband (membership and coefficients) is
-// unchanged, and the target's coefficients and liveness are unchanged.
-// Under those conditions no repartition ran, so subdomain IDs, per-subdomain
-// ranks, base hit sets, pair normals, and the hit memo all remain exact
-// against next. Rebase refuses (returning false, evaluator unchanged) when
-// the evaluator's cached state is not current for its own snapshot or the
-// query count disagrees — the callers then simply drop it.
-func (e *Evaluator) Rebase(next *subdomain.Index) bool {
-	if e.epoch != e.idx.Epoch() {
-		return false // stale against its own index; a rebuild is due anyway
-	}
-	if next.Workload().NumQueries() != e.w.NumQueries() {
-		return false
-	}
-	e.idx = next
-	e.w = next.Workload()
-	e.epoch = next.Epoch()
-	return true
-}
-
-// Bind re-attaches the evaluator to a caller's context so spans from later
-// epoch-forced rebuilds land in that caller's trace. Evaluator recycling
-// (the solver-side evaluator cache) hands a previous solve's evaluator to a
-// new solve; without rebinding, its rebuild spans would be recorded into the
-// finished solve's trace. A nil ctx binds context.Background().
-func (e *Evaluator) Bind(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.ctx = ctx
-}
-
 // BaseHits returns H(p_i), the hit count of the unimproved target.
 func (e *Evaluator) BaseHits() int {
 	e.ensureFresh()
 	return e.baseHits
-}
-
-// BaseHit reports whether the unimproved target hits query j.
-func (e *Evaluator) BaseHit(j int) bool {
-	e.ensureFresh()
-	return e.baseSet[j]
-}
-
-// BaseHitSet fills dst with the unimproved target's hit set — the bitset
-// equivalent of querying BaseHit for every j — growing dst to the workload's
-// query count.
-func (e *Evaluator) BaseHitSet(dst *bitset.Bits) {
-	e.ensureFresh()
-	dst.CopyFrom(e.baseBits)
 }
 
 // rankFor returns (and caches) the target-coefficient rank within subdomain
@@ -325,11 +245,6 @@ func (e *Evaluator) HitsWithCoeff(newCoeff vec.Vector) int {
 	if vec.Equal(oldCoeff, newCoeff) {
 		return e.baseHits
 	}
-	key := e.memoKey(newCoeff)
-	if h, ok := e.hitMemo[string(key)]; ok {
-		mHitMemoHits.Inc()
-		return h
-	}
 	touched := e.computeDeltas(newCoeff)
 	// H(p_i + s) = baseHits adjusted by the queries whose hit status flips
 	// (Fact 1: queries outside every affected subspace keep their result).
@@ -357,33 +272,7 @@ func (e *Evaluator) HitsWithCoeff(newCoeff vec.Vector) int {
 	}
 	e.flushPending(len(touched))
 	e.resetDeltas()
-	if len(e.hitMemo) < hitMemoMax {
-		e.hitMemo[string(key)] = hits
-	}
 	return hits
-}
-
-// memoKey serialises newCoeff's exact bit pattern into the evaluator's key
-// scratch buffer. Float64bits keys distinguish every representable vector —
-// a colliding key is a byte-identical vector, whose hit count is identical —
-// and map lookups through string(keyBuf) do not allocate. The one
-// numerically-equal-but-bitwise-distinct pair, -0.0 vs +0.0, is normalised
-// to +0.0: every score and sign computation treats them identically, so
-// splitting them across two memo entries would only waste a slot and a cold
-// evaluation.
-func (e *Evaluator) memoKey(newCoeff vec.Vector) []byte {
-	buf := e.keyBuf[:0]
-	for _, x := range newCoeff {
-		b := math.Float64bits(x)
-		if b == 1<<63 { // -0.0 == +0.0; key them identically
-			b = 0
-		}
-		buf = append(buf,
-			byte(b), byte(b>>8), byte(b>>16), byte(b>>24),
-			byte(b>>32), byte(b>>40), byte(b>>48), byte(b>>56))
-	}
-	e.keyBuf = buf
-	return buf
 }
 
 // flushPending publishes one evaluation's staged counters: a handful of
@@ -424,8 +313,7 @@ func (e *Evaluator) resetDeltas() {
 }
 
 // HitSet returns the indices of queries hit after moving the target to
-// newCoeff; used by the combinatorial (multi-target) algorithms which must
-// de-duplicate hits across targets.
+// newCoeff — which queries, where HitsWithCoeff says how many.
 func (e *Evaluator) HitSet(newCoeff vec.Vector) map[int]bool {
 	e.ensureFresh()
 	oldCoeff := e.w.Coeff(e.target)
@@ -457,39 +345,6 @@ func (e *Evaluator) HitSet(newCoeff vec.Vector) map[int]bool {
 		}
 	}
 	return out
-}
-
-// HitSetBits is HitSet for the allocation-free solver hot path: it fills dst
-// (grown to the workload's query count) with the indices of queries hit after
-// moving the target to newCoeff, instead of building a fresh map. The bit
-// contents are exactly the key set HitSet would return.
-func (e *Evaluator) HitSetBits(newCoeff vec.Vector, dst *bitset.Bits) {
-	e.ensureFresh()
-	dst.CopyFrom(e.baseBits)
-	oldCoeff := e.w.Coeff(e.target)
-	if vec.Equal(oldCoeff, newCoeff) {
-		return
-	}
-	touched := e.computeDeltas(newCoeff)
-	e.flushPending(len(touched))
-	defer e.resetDeltas()
-	for _, j := range touched {
-		d := int(e.deltaBuf[j])
-		if d == 0 {
-			continue
-		}
-		e.deltaBuf[j] = 0 // idempotent under duplicate touched entries
-		rank := e.baseRank(j)
-		if rank < 0 {
-			continue
-		}
-		k := e.w.Query(j).K
-		if rank+d <= k {
-			dst.Set(j)
-		} else {
-			dst.Clear(j)
-		}
-	}
 }
 
 // pairNormalFor returns (caching) the old intersection normal for pair

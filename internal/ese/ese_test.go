@@ -347,13 +347,10 @@ func TestEvaluatorSurvivesSubdomainUpdates(t *testing.T) {
 	}
 }
 
-// TestHitMemoNegativeZero pins the memo-key normalisation: IEEE-754 gives
-// -0.0 and +0.0 distinct bit patterns but identical scoring behaviour, so a
-// coefficient that differs only in a zero's sign must share one memo entry
-// and one answer. Before normalisation the memo split such probes into two
-// entries, halving its effective capacity on workloads whose strategies zero
-// out axes.
-func TestHitMemoNegativeZero(t *testing.T) {
+// TestNegativeZeroCoeffSameHits: IEEE-754 gives -0.0 and +0.0 distinct bit
+// patterns but identical scoring behaviour, so a coefficient that differs
+// only in a zero's sign must get the same hit count.
+func TestNegativeZeroCoeffSameHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	idx := buildFixture(t, rng, 60, 40, 3, 3)
 	e, err := New(idx, 0)
@@ -363,9 +360,6 @@ func TestHitMemoNegativeZero(t *testing.T) {
 	coeff := vec.Clone(idx.Workload().Coeff(0))
 	coeff[1] = 0.0
 	pos := e.HitsWithCoeff(coeff)
-	if len(e.hitMemo) != 1 {
-		t.Fatalf("expected 1 memo entry after first probe, got %d", len(e.hitMemo))
-	}
 	neg := vec.Clone(coeff)
 	neg[1] = math.Copysign(0, -1)
 	if math.Float64bits(neg[1]) == math.Float64bits(coeff[1]) {
@@ -373,8 +367,5 @@ func TestHitMemoNegativeZero(t *testing.T) {
 	}
 	if got := e.HitsWithCoeff(neg); got != pos {
 		t.Fatalf("hits diverged on zero sign: +0 gave %d, -0 gave %d", pos, got)
-	}
-	if len(e.hitMemo) != 1 {
-		t.Fatalf("-0.0 probe split the memo: %d entries", len(e.hitMemo))
 	}
 }

@@ -1,8 +1,8 @@
 // Package shard partitions one System's query workload by query-space
 // position into N shard indexes. Every shard holds the FULL object table but
 // only its own contiguous slice of queries, so per-query probe work,
-// threshold caches, evaluators, and dirty-set invalidation all scale down
-// with the shard's query count while the scatter-gather coordinator in
+// threshold vectors, and dirty-set invalidation all scale down with the
+// shard's query count while the scatter coordinator in
 // internal/core reassembles bit-identical global answers. The package owns
 // the routing plan (where a query lives), the shard set (the per-shard
 // workload/index pairs plus the global↔local query mapping), the drift

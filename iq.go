@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 
 	"iq/internal/core"
-	"iq/internal/ese"
 	"iq/internal/obs"
 	"iq/internal/obs/history"
 	"iq/internal/obs/workload"
@@ -108,25 +107,26 @@ type Result = core.Result
 // greedy rounds, candidate probes, prune counts, and wall time per stage.
 type SolveStats = core.SolveStats
 
-// SetSolveCacheEnabled toggles the cross-solve caches (hit thresholds and
-// recycled evaluators, both keyed by index epoch) and returns the previous
-// setting. The caches are on by default and bit-identical to the uncached
-// path; disabling them exists for A/B benchmarking and debugging.
+// SetSolveCacheEnabled toggles the cross-solve threshold cache (one hit
+// threshold vector per index epoch and target, the counter every hit count
+// reads) and returns the previous setting. The cache is on by default and
+// bit-identical to the uncached path; disabling it exists for A/B
+// benchmarking and debugging.
 func SetSolveCacheEnabled(enabled bool) bool { return core.SetSolveCacheEnabled(enabled) }
 
-// SolveCacheEnabled reports whether the cross-solve caches are active.
+// SolveCacheEnabled reports whether the cross-solve cache is active.
 func SolveCacheEnabled() bool { return core.SolveCacheEnabled() }
 
-// PurgeSolveCaches drops all cached hit thresholds and idle evaluators,
-// forcing the next solves down the cold path. Benchmarks use it between
+// PurgeSolveCaches drops all cached hit threshold vectors, forcing the next
+// solves down the cold path. Benchmarks use it between
 // measurement phases; production code never needs it.
 func PurgeSolveCaches() { core.PurgeSolveCaches() }
 
 // SetDirtyInvalidationEnabled toggles dirty-set cache migration across
 // writes and returns the previous setting. Enabled (the default), a
-// mutation invalidates only the cached thresholds and evaluators its dirty
-// set intersects; everything else stays warm into the new epoch. Disabled,
-// every write cold-starts the caches (the pre-dirty-set behaviour). Results
+// mutation invalidates only the cached threshold slots its dirty set
+// intersects; everything else stays warm into the new epoch. Disabled,
+// every write cold-starts the cache (the pre-dirty-set behaviour). Results
 // are bit-identical either way; the toggle exists for A/B benchmarking.
 func SetDirtyInvalidationEnabled(enabled bool) bool {
 	return core.SetDirtyInvalidationEnabled(enabled)
@@ -424,7 +424,7 @@ func BatchParallelism() int { return int(batchParallelism.Load()) }
 // SolveBatchCtx answers several independent improvement queries against a
 // single epoch snapshot: every item sees the same immutable workload/index
 // pair even if writers land mid-batch, and all items share the snapshot's
-// warm threshold and evaluator caches, so a batch of N solves pays the
+// warm threshold cache, so a batch of N solves pays the
 // cold-path cost at most once per distinct target. Items run on a bounded
 // worker pool (SetBatchParallelism; default GOMAXPROCS) with results
 // delivered in item order regardless of completion order. Per-item failures
@@ -550,12 +550,11 @@ func (s *System) Hits(target int) (int, error) {
 	return s.HitsCtx(context.Background(), target)
 }
 
-// HitsCtx is Hits under a context; the evaluator build records a span when
-// the context carries a trace. Evaluators are recycled through the
-// cross-solve cache, so repeat hit counts against an unchanged epoch skip
-// the build entirely.
+// HitsCtx is Hits under a context; the threshold fill records a span when
+// the context carries a trace. Threshold vectors are cached across solves,
+// so repeat hit counts against an unchanged epoch skip the fill entirely.
 func (s *System) HitsCtx(ctx context.Context, target int) (int, error) {
-	return s.view().baseHitsCtx(ctx, target)
+	return s.view().hitsCtx(ctx, target, nil)
 }
 
 // Evaluate answers a plain top-k query against the dataset.
@@ -580,9 +579,8 @@ func (s *System) EvaluateStrategy(target int, strategy Vector) (int, error) {
 	return s.EvaluateStrategyCtx(context.Background(), target, strategy)
 }
 
-// EvaluateStrategyCtx is EvaluateStrategy under a context, observed at entry
-// and between evaluator construction and the hit count — the two non-trivial
-// stages of a what-if evaluation.
+// EvaluateStrategyCtx is EvaluateStrategy under a context, observed at
+// entry; the threshold fill records a span when the context carries a trace.
 func (s *System) EvaluateStrategyCtx(ctx context.Context, target int, strategy Vector) (int, error) {
 	st := s.view()
 	if err := checkStrategy(st.w, target, strategy); err != nil {
@@ -591,24 +589,7 @@ func (s *System) EvaluateStrategyCtx(ctx context.Context, target int, strategy V
 	if err := core.CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	total := 0
-	for _, idx := range st.indexes() {
-		pool, release, err := core.AcquireEvaluators(ctx, idx, target, 1)
-		if err != nil {
-			return 0, err
-		}
-		if err := core.CtxErr(ctx); err != nil {
-			release()
-			return 0, err
-		}
-		h, err := pool[0].Hits(strategy)
-		release()
-		if err != nil {
-			return 0, err
-		}
-		total += h
-	}
-	return total, nil
+	return st.hitsCtx(ctx, target, strategy)
 }
 
 // checkStrategy validates a (target, strategy) pair against a workload so
@@ -648,19 +629,10 @@ func (s *System) CommitAndCount(target int, strategy Vector) (int, error) {
 func (s *System) CommitAndCountCtx(ctx context.Context, target int, strategy Vector) (int, error) {
 	hits := 0
 	muts := []Mutation{{Commit: &CommitMutation{Target: target, Strategy: strategy}}}
-	// The read-back builds fresh evaluators: the clone's caches are not
-	// migrated yet, so none are borrowed from them.
 	_, err := s.mutateCtx(ctx, muts, false, func(st *state) error {
-		total := 0
-		for _, idx := range st.indexes() {
-			ev, err := ese.NewCtx(ctx, idx, target)
-			if err != nil {
-				return err
-			}
-			total += ev.BaseHits()
-		}
-		hits = total
-		return nil
+		var err error
+		hits, err = st.hitsCtx(ctx, target, nil)
+		return err
 	})
 	return hits, err
 }

@@ -71,29 +71,31 @@ func (st *state) solveMaxHit(ctx context.Context, req MaxHitRequest) (*Result, e
 	return core.MaxHitViews(ctx, st.sh.Shards, req)
 }
 
-// baseHitsCtx counts the target's current hits on this snapshot (the Hits
-// read path): one evaluator per shard, summed — every query is owned by
-// exactly one shard, so the sum equals the monolithic count.
-func (st *state) baseHitsCtx(ctx context.Context, target int) (int, error) {
-	total := 0
-	for _, idx := range st.indexes() {
-		pool, release, err := core.AcquireEvaluators(ctx, idx, target, 1)
-		if err != nil {
-			return 0, err
+// hitsCtx counts the target's hits on this snapshot with strategy applied
+// (nil for H(p)): one threshold-vector count per shard, summed — every
+// query is owned by exactly one shard, so the sum equals the monolithic
+// count. The error texts, "ese:" prefix included, are part of these read
+// paths' contract.
+func (st *state) hitsCtx(ctx context.Context, target int, strategy Vector) (int, error) {
+	w := st.w
+	if target < 0 || target >= w.NumObjects() {
+		return 0, fmt.Errorf("ese: target %d out of range", target)
+	}
+	if w.IsRemoved(target) {
+		return 0, fmt.Errorf("ese: target %d is removed", target)
+	}
+	coeff := w.Coeff(target)
+	if strategy != nil {
+		var err error
+		if coeff, err = w.Space().Embed(vec.Add(w.Attrs(target), strategy)); err != nil {
+			return 0, fmt.Errorf("ese: embedding improved target: %w", err)
 		}
-		total += pool[0].BaseHits()
-		release()
+	}
+	total := 0
+	for _, sh := range st.sh.Shards {
+		total += core.TargetHits(ctx, sh.Idx, target, coeff)
 	}
 	return total, nil
-}
-
-// indexes returns the snapshot's subdomain indexes, one per shard.
-func (st *state) indexes() []*subdomain.Index {
-	out := make([]*subdomain.Index, len(st.sh.Shards))
-	for t, sh := range st.sh.Shards {
-		out[t] = sh.Idx
-	}
-	return out
 }
 
 // index returns the snapshot's lone index for the solvers that only run on
@@ -108,7 +110,7 @@ func (st *state) index(op string) (*subdomain.Index, error) {
 
 // mutateCtx is the commit protocol every write goes through. Under the
 // writer lock it clones ONLY the shards the batch touches (the rest share
-// published pointers, so their epochs, caches, and evaluators stay warm),
+// published pointers, so their epochs and cached thresholds stay warm),
 // plus the global workload unless the one shard owns it. It applies every
 // mutation shard-first (validation errors surface with the monolithic
 // messages), mirroring each into the global workload when the shards do not

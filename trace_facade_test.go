@@ -36,7 +36,7 @@ func TestTracedSolveProducesDeepTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	parsed, err := obs.ValidateTraceEvent(buf.Bytes(),
-		[]string{"solve/mincost", "round", "probe", "eval", "ese/build"}, 3)
+		[]string{"solve/mincost", "round", "probe", "eval", "thresholds"}, 3)
 	if err != nil {
 		t.Fatalf("trace_event validation: %v\n%s", err, buf.String())
 	}
