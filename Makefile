@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet test race stress fuzz perfbench bench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
+.PHONY: check build vet test race stress fuzz perfbench bench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck
 
 # check is the CI entry point: build everything, vet, run the suite under
 # the race detector (-short: the stress tests are excluded there), then
 # re-run the concurrency stress tests twice to shake out
-# scheduling-dependent interleavings, fuzz the hit counter for 15 s, vet and
-# test the nested benchmark
+# scheduling-dependent interleavings, fuzz the hit counter and the cost
+# expression parser for 15 s each, vet and test the nested benchmark
 # module, and finally scrape /metrics off a
 # live server to prove the exposition parses end to end. Every test run
 # carries an explicit -timeout so a hung solve fails fast with a goroutine
 # dump instead of stalling CI at the per-package default.
-check: build vet race stress fuzz perfbench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
+check: build vet race stress fuzz perfbench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck
 
 build:
 	$(GO) build ./...
@@ -28,10 +28,13 @@ race:
 stress:
 	$(GO) test -race -run TestStress -count=2 -timeout 10m ./...
 
-# fuzz runs the hit-counter differential fuzzer briefly: threshold vectors
-# against a brute-force recount and ESE on tiny workloads.
+# fuzz runs two fuzzers briefly: the hit-counter differential fuzzer
+# (threshold vectors against a brute-force recount and ESE on tiny
+# workloads) and the cost-expression fuzzer (untrusted cost.expr input must
+# be rejected or evaluated without a panic or a stack overflow).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzThresholdHits -fuzztime 15s -timeout 5m ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzExprCost -fuzztime 15s -timeout 5m ./internal/core
 
 # perfbench vets and tests the benchmark harness, a nested module
 # (perfbench/go.mod) that the root ./... patterns skip, so an engine API
@@ -72,8 +75,7 @@ crashcheck:
 
 # analyzecheck boots a real iqserver, drives a skewed workload through the
 # HTTP API, and validates the workload-analytics surface end to end:
-# /v1/stats/workload, the ?advise=k shard proposal, and /debug/workload
-# (scripts/analyzecheck.sh).
+# /v1/stats/workload and /debug/workload (scripts/analyzecheck.sh).
 analyzecheck:
 	./scripts/analyzecheck.sh
 
@@ -84,16 +86,6 @@ analyzecheck:
 # journal survived (scripts/healthcheck.sh).
 healthcheck:
 	./scripts/healthcheck.sh
-
-# shardcheck is the live bit-identity drill: boot an iqserver with
-# -shards 4 and a -shards 1 twin, drive an identical sequence of solves,
-# commits, batch mutations, and error paths through both HTTP APIs, and
-# require every response pair to match field for field plus nonzero
-# iq_shard_* series on the sharded server's /metrics
-# (scripts/shardcheck.sh). The in-process property test proves engine
-# bit-identity; this proves the deployed binary's full HTTP path does too.
-shardcheck:
-	./scripts/shardcheck.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/

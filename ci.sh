@@ -15,6 +15,10 @@ go test -race -run TestStress -count=2 -timeout 10m ./...
 # against a brute-force recount and ESE on tiny workloads (seed corpus in
 # internal/core/testdata/fuzz/FuzzThresholdHits).
 go test -run '^$' -fuzz FuzzThresholdHits -fuzztime 15s -timeout 5m ./internal/core
+# Fuzz of untrusted cost expressions: NewExprCost/Of must reject or evaluate
+# every input without a panic or a stack overflow, and cost 0 at the zero
+# strategy (seed corpus in internal/core/testdata/fuzz/FuzzExprCost).
+go test -run '^$' -fuzz FuzzExprCost -fuzztime 15s -timeout 5m ./internal/core
 # The benchmark harness is a nested module (perfbench/go.mod), so the root
 # ./... patterns skip it; build and test it on its own so an engine API
 # change that breaks the benchmark fails here.
@@ -34,15 +38,10 @@ go test -run '^$' -fuzz FuzzThresholdHits -fuzztime 15s -timeout 5m ./internal/c
 # reference solve.
 ./scripts/crashcheck.sh
 # Live workload-analytics gate: boot a real iqserver, drive a skewed
-# workload, and validate /v1/stats/workload, the ?advise=k shard proposal,
-# and /debug/workload end to end.
+# workload, and validate /v1/stats/workload and /debug/workload end to end.
 ./scripts/analyzecheck.sh
 # Live SLO/telemetry gate: boot a real iqserver with an impossible latency
 # target, drive solves until the burn-rate alert fires (on the stats
 # surface and the log stream), then kill -9 and restart to prove the
 # telemetry history journal survived.
 ./scripts/healthcheck.sh
-# Live sharded-engine gate: boot an iqserver with -shards 4 and a -shards 1
-# twin, drive identical solves and mutations through both, and require every
-# response pair bit-identical plus nonzero iq_shard_* series on /metrics.
-./scripts/shardcheck.sh

@@ -67,7 +67,7 @@ func TestGenerateCandidatesAllocsPerRoundWarm(t *testing.T) {
 		rs := &roundScratch{}
 		probes := 0
 		warm := func() int {
-			cands, err := generateCandidates(ctx, hitCounter{thr}, 0, 1, cur, hit, L2Cost{}, nil, rs, rec)
+			cands, err := generateCandidates(ctx, thr, 1, cur, hit, L2Cost{}, nil, rs, rec)
 			if err != nil {
 				t.Fatal(err)
 			}

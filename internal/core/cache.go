@@ -14,7 +14,7 @@ package core
 // A solve fills every live slot of its vector once, under the entry's own
 // lock (never the table lock), before its first round. A filled vector is
 // never written again — fills and migrations publish a fresh one — so the
-// workers and shards of any number of solves read it without locks.
+// workers of any number of solves read it without locks.
 //
 // Correctness invariant: a cached slot holds the bit-identical value the
 // fill would compute, so results are the same with the cache on or off — the

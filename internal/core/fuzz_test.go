@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"iq/internal/bitset"
@@ -188,4 +190,39 @@ func checkThresholdHits(t *testing.T, r *fuzzBytes) {
 			}
 		}
 	}
+}
+
+// FuzzExprCost feeds arbitrary cost expressions through NewExprCost and Of,
+// the path an untrusted cost.expr takes from iqserver's JSON. An input must
+// either be rejected with an error or yield a cost that is 0 at the zero
+// strategy and evaluates without panicking, deterministically. Input nested
+// past expr.MaxDepth must be rejected rather than overflow the stack. The
+// seed corpus is testdata/fuzz/FuzzExprCost.
+func FuzzExprCost(f *testing.F) {
+	for _, src := range []string{
+		"sqrt(s1^2 + s2^2)",
+		"abs(s1) + 2*abs(s2) - -abs(s3)",
+		"max(s1, -s2) * min(s2, s3) / (1 + s1^2)",
+		"log(1 + abs(s1)) + exp(s2) - 1",
+		"pow(s1, 2) + s2*s2",
+		strings.Repeat("(", 2000) + "s1" + strings.Repeat(")", 2000),
+	} {
+		f.Add(src, uint8(3), 0.5, -0.25, 2.0)
+	}
+	f.Fuzz(func(t *testing.T, src string, dim uint8, a, b, c float64) {
+		d := 1 + int(dim%4)
+		cost, err := NewExprCost(src, d)
+		if err != nil {
+			return
+		}
+		if z := cost.Of(vec.New(d)); math.Abs(z) > 1e-9 {
+			t.Fatalf("%q: zero strategy costs %g", src, z)
+		}
+		s := vec.New(d)
+		copy(s, []float64{a, b, c})
+		v1, v2 := cost.Of(s), cost.Of(s)
+		if math.Float64bits(v1) != math.Float64bits(v2) {
+			t.Fatalf("%q at %v: Of is not deterministic: %g then %g", src, s, v1, v2)
+		}
+	})
 }

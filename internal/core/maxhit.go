@@ -45,20 +45,13 @@ func MaxHitIQ(idx *subdomain.Index, req MaxHitRequest) (*Result, error) {
 // (triangle inequality), so the cumulative check is both more faithful to
 // the definition and never worse.
 func MaxHitIQCtx(ctx context.Context, idx *subdomain.Index, req MaxHitRequest) (*Result, error) {
-	return MaxHitViews(ctx, []ShardView{{Idx: idx}}, req)
-}
-
-// MaxHitViews answers a Max-Hit improvement query over a workload laid out
-// as shard views (see ShardView); results are bit-identical at any view
-// count.
-func MaxHitViews(ctx context.Context, views []ShardView, req MaxHitRequest) (*Result, error) {
-	return runSolve(ctx, "maxhit", views, req.Target, func(ctx context.Context, ss *shardSolver, rec *recorder) (*Result, error) {
-		return maxHitSolve(ctx, ss, req, rec)
+	return runSolve(ctx, "maxhit", idx, req.Target, func(ctx context.Context, gs *greedySolver, rec *recorder) (*Result, error) {
+		return maxHitSolve(ctx, gs, req, rec)
 	})
 }
 
-func maxHitSolve(ctx context.Context, ss *shardSolver, req MaxHitRequest, rec *recorder) (*Result, error) {
-	res, err := ss.start(ctx, req.Cost, req.Workers, rec, func() error {
+func maxHitSolve(ctx context.Context, gs *greedySolver, req MaxHitRequest, rec *recorder) (*Result, error) {
+	res, err := gs.start(ctx, req.Cost, req.Workers, rec, func() error {
 		if req.Budget < 0 {
 			return fmt.Errorf("core: negative budget %g", req.Budget)
 		}
@@ -70,7 +63,7 @@ func maxHitSolve(ctx context.Context, ss *shardSolver, req MaxHitRequest, rec *r
 
 	for {
 		res.Iterations++
-		if res.Iterations > ss.nq+8 {
+		if res.Iterations > gs.nq+8 {
 			break
 		}
 		if err := checkpoint(ctx, "maxhit", res.Iterations); err != nil {
@@ -80,7 +73,7 @@ func maxHitSolve(ctx context.Context, ss *shardSolver, req MaxHitRequest, rec *r
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		cands, err := ss.round(rctx, res.Strategy, req.Cost, req.Bounds, rec)
+		cands, err := gs.round(rctx, res.Strategy, req.Cost, req.Bounds, rec)
 		if err != nil {
 			rsp.End()
 			return nil, err
@@ -92,7 +85,7 @@ func maxHitSolve(ctx context.Context, ss *shardSolver, req MaxHitRequest, rec *r
 			break // no candidate gains hits: every query hit or infeasible
 		}
 		if best.Cost <= req.Budget {
-			if err := ss.adopt(res, best, req.Cost); err != nil {
+			if err := gs.adopt(res, best, req.Cost); err != nil {
 				rsp.End()
 				return res, err
 			}
@@ -104,10 +97,8 @@ func maxHitSolve(ctx context.Context, ss *shardSolver, req MaxHitRequest, rec *r
 		// the remaining candidates; apply the first that fits and
 		// re-enter the loop in case the new position unlocks more. Equal
 		// costs order by query index so the pass is deterministic at any
-		// worker or shard count (see DESIGN.md, "Deterministic
-		// parallelism"): (Cost, Query) is a total order over unique query
-		// indices, so a shard-major candidate slice sorts into exactly the
-		// one-view sequence.
+		// worker count (see DESIGN.md, "Deterministic parallelism"):
+		// (Cost, Query) is a total order over unique query indices.
 		sort.SliceStable(cands, func(a, b int) bool {
 			if cands[a].Cost != cands[b].Cost {
 				return cands[a].Cost < cands[b].Cost
@@ -119,7 +110,7 @@ func maxHitSolve(ctx context.Context, ss *shardSolver, req MaxHitRequest, rec *r
 			if c.Hits <= res.Hits || c.Cost > req.Budget {
 				continue
 			}
-			if err := ss.adopt(res, c, req.Cost); err != nil {
+			if err := gs.adopt(res, c, req.Cost); err != nil {
 				rsp.End()
 				return res, err
 			}

@@ -70,30 +70,23 @@ func MinCostIQ(idx *subdomain.Index, req MinCostRequest) (*Result, error) {
 // it. Cancellation is observed at every greedy round and inside the
 // candidate fan-out; a cancelled solve discards its partial strategy and
 // returns a nil Result with ErrCanceled/ErrDeadlineExceeded wrapping
-// ctx.Err(). It is MinCostViews over the one view idx.
+// ctx.Err().
 func MinCostIQCtx(ctx context.Context, idx *subdomain.Index, req MinCostRequest) (*Result, error) {
-	return MinCostViews(ctx, []ShardView{{Idx: idx}}, req)
-}
-
-// MinCostViews answers a Min-Cost improvement query over a workload laid out
-// as shard views (see ShardView); results are bit-identical at any view
-// count.
-func MinCostViews(ctx context.Context, views []ShardView, req MinCostRequest) (*Result, error) {
-	return runSolve(ctx, "mincost", views, req.Target, func(ctx context.Context, ss *shardSolver, rec *recorder) (*Result, error) {
-		return minCostSolve(ctx, ss, req, rec)
+	return runSolve(ctx, "mincost", idx, req.Target, func(ctx context.Context, gs *greedySolver, rec *recorder) (*Result, error) {
+		return minCostSolve(ctx, gs, req, rec)
 	})
 }
 
-func minCostSolve(ctx context.Context, ss *shardSolver, req MinCostRequest, rec *recorder) (*Result, error) {
-	res, err := ss.start(ctx, req.Cost, req.Workers, rec, func() error {
+func minCostSolve(ctx context.Context, gs *greedySolver, req MinCostRequest, rec *recorder) (*Result, error) {
+	res, err := gs.start(ctx, req.Cost, req.Workers, rec, func() error {
 		if err := CtxErr(ctx); err != nil {
 			return err
 		}
 		if req.Tau < 0 {
 			return fmt.Errorf("core: negative tau %d", req.Tau)
 		}
-		if req.Tau > ss.nq {
-			return fmt.Errorf("core: tau %d exceeds query count %d: %w", req.Tau, ss.nq, ErrGoalUnreachable)
+		if req.Tau > gs.nq {
+			return fmt.Errorf("core: tau %d exceeds query count %d: %w", req.Tau, gs.nq, ErrGoalUnreachable)
 		}
 		return nil
 	})
@@ -110,7 +103,7 @@ func minCostSolve(ctx context.Context, ss *shardSolver, req MinCostRequest, rec 
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		cands, err := ss.round(rctx, res.Strategy, req.Cost, req.Bounds, rec)
+		cands, err := gs.round(rctx, res.Strategy, req.Cost, req.Bounds, rec)
 		if err != nil {
 			rsp.End()
 			return nil, err
@@ -139,13 +132,13 @@ func minCostSolve(ctx context.Context, ss *shardSolver, req MinCostRequest, rec 
 				best = cheapest
 			}
 		}
-		if err := ss.adopt(res, best, req.Cost); err != nil {
+		if err := gs.adopt(res, best, req.Cost); err != nil {
 			rsp.End()
 			return res, err
 		}
 		rsp.SetAttr("hits", res.Hits)
 		rsp.End()
-		if res.Iterations > ss.nq+req.Tau+8 {
+		if res.Iterations > gs.nq+req.Tau+8 {
 			return res, fmt.Errorf("core: iteration guard tripped: %w", ErrGoalUnreachable)
 		}
 	}

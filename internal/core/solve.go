@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"iq/internal/bitset"
 	"iq/internal/obs"
@@ -54,10 +55,11 @@ type probeScratch struct {
 	bounds   Bounds     // aliases lo/hi so no Bounds escapes per probe
 	// counts aliases the solve's dense per-query attribution table
 	// (roundScratch.counts; nil while analytics are off). Each round probes a
-	// query from exactly one worker (slot striding) and rounds are separated
-	// by the fan-out join, so plain increments need no synchronisation.
+	// query from exactly one worker (each slot is claimed once) and rounds
+	// are separated by the fan-out join, so plain increments need no
+	// synchronisation.
 	// Region resolution is deferred to the per-solve flush
-	// (recorder.regionSamples), keeping the probe hot path to two array
+	// (regionSamplesOf), keeping the probe hot path to two array
 	// writes.
 	counts []queryCounts
 }
@@ -290,23 +292,9 @@ type roundScratch struct {
 	counts []queryCounts
 }
 
-// hitCounter counts H(p+s) over a workload laid out as shard views: one
-// filled threshold vector per view, summed (every query lives in exactly one
-// view). The vectors are read-only, so every worker of every view shares
-// them.
-type hitCounter []*thresholdVec
-
-func (hc hitCounter) count(coeff vec.Vector) int {
-	n := 0
-	for _, v := range hc {
-		n += v.count(coeff)
-	}
-	return n
-}
-
-// attribution returns the solve's dense per-query attribution table for the
-// view rs serves, allocating and registering it with rec on first use; nil
-// while analytics are off.
+// attribution returns the solve's dense per-query attribution table for idx,
+// allocating and registering it with rec on first use; nil while analytics
+// are off.
 func (rs *roundScratch) attribution(rec *recorder, idx *subdomain.Index) []queryCounts {
 	if rec.attrib && rs.counts == nil {
 		rs.counts = make([]queryCounts, idx.Workload().NumQueries())
@@ -316,24 +304,25 @@ func (rs *roundScratch) attribution(rec *recorder, idx *subdomain.Index) []query
 }
 
 // generateCandidates implements the shared inner loop of Algorithms 3 and 4
-// (lines 4–8): for every query of view self not currently hit, the min-cost
-// strategy that hits it, with its hit count over every view of hc. With more
-// than one worker (after clampWorkers) the per-query work fans out across
-// goroutines, each with its own probeScratch and embed buffer.
+// (lines 4–8): for every query not currently hit, the min-cost strategy that
+// hits it, with its hit count read from thr. With more than one worker
+// (after clampWorkers) the per-query work fans out across goroutines, each
+// with its own probeScratch and embed buffer. Workers claim slots one at a
+// time from a shared counter, so a worker that drew cheap probes takes more
+// of them and uneven probe costs even out.
 //
 // The returned slice aliases rs.cands and is overwritten by the next call;
 // the Strategy vectors inside it are freshly allocated per probe and safe to
-// retain. Bit-for-bit determinism is preserved: probes still land in
-// slot-indexed order and the scratch paths reproduce the original arithmetic
-// exactly.
+// retain. Bit-for-bit determinism is preserved: whichever worker runs a
+// probe, its result lands in its slot, so candidates come back in slot
+// order, and the scratch paths reproduce the original arithmetic exactly.
 //
 // Cancellation is checked before every probe, serial or parallel: workers
 // stop picking up slots as soon as ctx fails, and a cancelled fan-out
 // returns a nil candidate slice with the translated context error, so the
 // solvers discard the round's partial work instead of greedily applying a
 // winner chosen from whatever subset happened to finish.
-func generateCandidates(ctx context.Context, hc hitCounter, self, workers int, cur vec.Vector, hit *bitset.Bits, cost Cost, bounds *Bounds, rs *roundScratch, rec *recorder) ([]Candidate, error) {
-	thr := hc[self]
+func generateCandidates(ctx context.Context, thr *thresholdVec, workers int, cur vec.Vector, hit *bitset.Bits, cost Cost, bounds *Bounds, rs *roundScratch, rec *recorder) ([]Candidate, error) {
 	idx, target := thr.idx, thr.target
 	w := idx.Workload()
 	workers = clampWorkers(workers, w.NumQueries())
@@ -412,7 +401,7 @@ func generateCandidates(ctx context.Context, hc hitCounter, self, workers int, c
 			}
 		}
 		_, esp := obs.StartSpan(pctx, "eval")
-		h := hc.count(coeff)
+		h := thr.count(coeff)
 		esp.SetAttr("hits", h)
 		esp.End()
 		rec.evalDone(t1)
@@ -428,6 +417,7 @@ func generateCandidates(ctx context.Context, hc hitCounter, self, workers int, c
 			probe(ctx, 0, slot)
 		}
 	} else {
+		var next atomic.Int64
 		var wg sync.WaitGroup
 		for wkr := 0; wkr < workers; wkr++ {
 			wg.Add(1)
@@ -436,8 +426,9 @@ func generateCandidates(ctx context.Context, hc hitCounter, self, workers int, c
 				wctx, wsp := obs.StartSpan(ctx, "worker")
 				wsp.SetAttr("worker", wkr)
 				defer wsp.End()
-				for slot := wkr; slot < len(unhit); slot += workers {
-					if ctx.Err() != nil {
+				for ctx.Err() == nil {
+					slot := int(next.Add(1)) - 1
+					if slot >= len(unhit) {
 						return
 					}
 					probe(wctx, wkr, slot)

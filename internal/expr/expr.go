@@ -15,6 +15,10 @@
 //	primary = number | ident | ident "(" args ")" | "(" expr ")"
 //
 // Builtins: sqrt, abs, log, exp, min, max, pow.
+//
+// Parse rejects input nested deeper than MaxDepth, so the recursive parser
+// and the recursive Eval/String/Vars walks over a parsed tree stay within a
+// small, fixed stack however long the input is.
 package expr
 
 import (
@@ -228,9 +232,16 @@ func VarsOf(n Node) map[string]struct{} {
 
 // --- Parser ---
 
+// MaxDepth bounds expression nesting. Parse counts one level for every open
+// parenthesis, call, unary minus and power, and for every chained + - * /
+// operator, and it rejects a tree taller than MaxDepth. Real cost and
+// utility expressions nest a few levels deep.
+const MaxDepth = 1000
+
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // levels open at pos (see MaxDepth)
 }
 
 // Parse parses source text into an AST.
@@ -244,7 +255,43 @@ func Parse(src string) (Node, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("expr: unexpected %q at offset %d", p.src[p.pos:], p.pos)
 	}
+	if tooDeep(n, MaxDepth) {
+		return nil, errTooDeep
+	}
 	return n, nil
+}
+
+var errTooDeep = fmt.Errorf("expr: expression nests deeper than %d levels", MaxDepth)
+
+// nest opens one nesting level; the caller restores p.depth when the level
+// closes.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth > MaxDepth {
+		return errTooDeep
+	}
+	return nil
+}
+
+// tooDeep reports whether n is taller than limit. It visits each node at
+// most once and recurses at most limit+1 levels.
+func tooDeep(n Node, limit int) bool {
+	if limit < 0 {
+		return true
+	}
+	switch n := n.(type) {
+	case Unary:
+		return tooDeep(n.X, limit-1)
+	case Binary:
+		return tooDeep(n.L, limit-1) || tooDeep(n.R, limit-1)
+	case Call:
+		for _, a := range n.Args {
+			if tooDeep(a, limit-1) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // MustParse parses src, panicking on error. For tests and package literals.
@@ -275,22 +322,19 @@ func (p *parser) parseExpr() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func(d int) { p.depth = d }(p.depth)
 	for {
-		switch p.peek() {
-		case '+':
+		switch op := p.peek(); op {
+		case '+', '-':
 			p.pos++
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			right, err := p.parseTerm()
 			if err != nil {
 				return nil, err
 			}
-			left = Binary{Op: '+', L: left, R: right}
-		case '-':
-			p.pos++
-			right, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			left = Binary{Op: '-', L: left, R: right}
+			left = Binary{Op: op, L: left, R: right}
 		default:
 			return left, nil
 		}
@@ -302,22 +346,19 @@ func (p *parser) parseTerm() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func(d int) { p.depth = d }(p.depth)
 	for {
-		switch p.peek() {
-		case '*':
+		switch op := p.peek(); op {
+		case '*', '/':
 			p.pos++
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			right, err := p.parseFactor()
 			if err != nil {
 				return nil, err
 			}
-			left = Binary{Op: '*', L: left, R: right}
-		case '/':
-			p.pos++
-			right, err := p.parseFactor()
-			if err != nil {
-				return nil, err
-			}
-			left = Binary{Op: '/', L: left, R: right}
+			left = Binary{Op: op, L: left, R: right}
 		default:
 			return left, nil
 		}
@@ -331,6 +372,10 @@ func (p *parser) parseFactor() (Node, error) {
 	}
 	if p.peek() == '^' {
 		p.pos++
+		defer func(d int) { p.depth = d }(p.depth)
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		exp, err := p.parseFactor() // right-associative
 		if err != nil {
 			return nil, err
@@ -343,6 +388,10 @@ func (p *parser) parseFactor() (Node, error) {
 func (p *parser) parseUnary() (Node, error) {
 	if p.peek() == '-' {
 		p.pos++
+		defer func(d int) { p.depth = d }(p.depth)
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -357,6 +406,10 @@ func (p *parser) parsePrimary() (Node, error) {
 	switch {
 	case c == '(':
 		p.pos++
+		defer func(d int) { p.depth = d }(p.depth)
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		n, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -417,6 +470,10 @@ func (p *parser) parseIdentOrCall() (Node, error) {
 		return Var{Name: name}, nil
 	}
 	p.pos++ // consume '('
+	defer func(d int) { p.depth = d }(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	var args []Node
 	if p.peek() != ')' {
 		for {

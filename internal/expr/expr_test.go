@@ -73,6 +73,39 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseDepthLimit: input nested past MaxDepth — parentheses, calls,
+// unary minus, powers, or a long operator chain — is a parse error, not a
+// stack overflow, while input just inside the limit parses and evaluates.
+func TestParseDepthLimit(t *testing.T) {
+	const deep = 200_000
+	for name, src := range map[string]string{
+		"parens": strings.Repeat("(", deep) + "1" + strings.Repeat(")", deep),
+		"calls":  strings.Repeat("abs(", deep) + "1" + strings.Repeat(")", deep),
+		"unary":  strings.Repeat("-", deep) + "1",
+		"power":  strings.Repeat("1^", deep) + "1",
+		"chain":  strings.Repeat("1+", deep) + "1",
+		"mixed":  strings.Repeat("(1+", MaxDepth/2+1) + "1" + strings.Repeat(")", MaxDepth/2+1),
+	} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "deeper than") {
+			t.Errorf("%s: Parse err = %v, want a nesting-depth error", name, err)
+		}
+	}
+	inside := MaxDepth - 1
+	for name, src := range map[string]string{
+		"parens": strings.Repeat("(", inside) + "s1" + strings.Repeat(")", inside),
+		"chain":  strings.Repeat("s1+", inside) + "s1",
+	} {
+		n, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s at depth %d: %v", name, inside, err)
+		}
+		if _, err := n.Eval(map[string]float64{"s1": 1}); err != nil {
+			t.Fatalf("%s at depth %d: Eval: %v", name, inside, err)
+		}
+	}
+}
+
 func TestEvalErrors(t *testing.T) {
 	cases := []struct {
 		src string

@@ -3,9 +3,7 @@
 // subdomain regions its probes touched, every mutation commit reports which
 // regions its dirty set churned, and this package folds those reports into a
 // sliding window of fixed time buckets so "where does the load live *right
-// now*" has an answer. On top of the windowed view, Advise proposes a
-// contiguous k-way sharding of query space (see advise.go) — the data
-// foundation for a sharded deployment.
+// now*" has an answer.
 //
 // Like the rest of internal/obs the package is stdlib-only, and the hot path
 // is deliberately cheap: a disabled aggregator costs one atomic load per
@@ -91,7 +89,7 @@ type cell struct {
 }
 
 // slot is one attribution series: its key, a last-writer-wins query-space
-// position (Float64bits; used by the advisor's 1-D linearisation), and a
+// position (Float64bits; reported as the region's Pos), and a
 // ring of time buckets.
 type slot struct {
 	key   slotKey
@@ -241,7 +239,7 @@ func (a *Aggregator) period() int64 { return a.now().UnixNano() / a.bucketNS }
 // RegionSample is one region's share of a solve, pre-aggregated by the
 // solver's worker scratch: probe count and threshold-cache traffic that
 // landed in the region, plus the region's query-space position (the
-// representative query's first coordinate) for the advisor's linearisation.
+// representative query's first coordinate), which snapshots report as Pos.
 type RegionSample struct {
 	Region    uint64
 	Pos       float64

@@ -164,20 +164,6 @@ func (d *DirtySet) ForEachQuery(fn func(j, source int)) {
 	}
 }
 
-// CleanForTarget reports whether every structure an ESE evaluator for target
-// caches survived the mutations bit-identically: the candidate skyband is
-// untouched (base ranks, pair normals and the hit memo are computed over
-// it), no query was added, removed, or re-thresholded (base hit sets span
-// all queries), and the target's own coefficients and liveness are
-// unchanged.
-func (d *DirtySet) CleanForTarget(target int) bool {
-	if d == nil || d.all || d.candidatesChanged || len(d.queries) > 0 {
-		return false
-	}
-	_, dirty := d.objects[target]
-	return !dirty
-}
-
 // dirty returns the index's pending dirty set, allocating it on first use.
 // Every mutating operation accumulates into it; TakeDirty hands it to the
 // caller and resets the accumulator.

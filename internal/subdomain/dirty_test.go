@@ -78,8 +78,6 @@ func TestDirtySetSoundness(t *testing.T) {
 						}
 					}
 				}
-				// CleanForTarget implies per-query cleanliness everywhere and
-				// an untouched candidate set.
 				if err := idx.CheckInvariant(); err != nil {
 					t.Fatalf("seed %d step %d (%s): %v", seed, step, op, err)
 				}
@@ -191,14 +189,8 @@ func TestDirtySetCleanMutations(t *testing.T) {
 		t.Fatal("updated object not marked dirty")
 	}
 	for target := 0; target < w.NumObjects(); target++ {
-		if target == id {
-			if ds.CleanForTarget(target) {
-				t.Fatal("mutated object reported clean for itself")
-			}
-			continue
-		}
-		if !ds.CleanForTarget(target) {
-			t.Fatalf("target %d not clean after far-object update", target)
+		if target != id && ds.ObjectDirty(target) {
+			t.Fatalf("target %d dirty after far-object update", target)
 		}
 	}
 
@@ -210,8 +202,8 @@ func TestDirtySetCleanMutations(t *testing.T) {
 	if ds.QueryCount() != 0 || ds.CandidatesChanged() {
 		t.Fatal("removing a dominated object dirtied shared state")
 	}
-	if ds.CleanForTarget(id) {
-		t.Fatal("removed object reported clean for itself")
+	if !ds.ObjectDirty(id) {
+		t.Fatal("removed object not marked dirty")
 	}
 }
 
@@ -235,11 +227,8 @@ func TestDirtySetMergeAndAttribution(t *testing.T) {
 	if !a.QueryDirty(5) || !a.ObjectDirty(9) || !a.CandidatesChanged() {
 		t.Fatal("merge lost state")
 	}
-	if a.CleanForTarget(0) {
-		t.Fatal("set with dirty queries cannot be clean for any target")
-	}
 	a.markAll()
-	if !a.All() || !a.QueryDirtyFor(99, 99) || a.CleanForTarget(123) {
+	if !a.All() || !a.QueryDirtyFor(99, 99) || !a.ObjectDirty(123) {
 		t.Fatal("markAll must degrade to whole-epoch invalidation")
 	}
 }

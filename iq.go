@@ -45,7 +45,6 @@ import (
 	"iq/internal/obs"
 	"iq/internal/obs/history"
 	"iq/internal/obs/workload"
-	"iq/internal/shard"
 	"iq/internal/subdomain"
 	"iq/internal/topk"
 	"iq/internal/vec"
@@ -138,10 +137,10 @@ func DirtyInvalidationEnabled() bool { return core.DirtyInvalidationEnabled() }
 
 // SetWorkloadAnalyticsEnabled toggles per-region workload attribution (the
 // internal/obs/workload layer: solve and churn attribution by query-space
-// region, the /v1/stats/workload endpoint's data source, and the shard
-// advisor's input), returning the previous setting. Default on. Disabled,
-// the solve hot path pays exactly one atomic load — the recorder samples the
-// switch once per solve and skips all attribution work.
+// region, the /v1/stats/workload endpoint's data source), returning the
+// previous setting. Default on. Disabled, the solve hot path pays exactly one
+// atomic load — the recorder samples the switch once per solve and skips all
+// attribution work.
 func SetWorkloadAnalyticsEnabled(enabled bool) bool { return workload.SetEnabled(enabled) }
 
 // WorkloadAnalyticsEnabled reports whether per-region attribution is active.
@@ -263,16 +262,13 @@ type durabilitySink interface {
 	logTxn(ctx context.Context, epoch uint64, muts []Mutation) error
 }
 
-// state is one immutable epoch: the GLOBAL workload w — the single source of
-// truth for query/object numbering, Evaluate, and snapshots — and the shard
-// Set indexing it. A one-shard Set's index is built over w itself; a
-// sharded Set's shards hold their own workloads, kept in lockstep with w by
-// the commit protocol (mutateCtx). Neither is mutated after publication.
-// opts records the construction options so snapshots round-trip them (a
-// recovered System rebuilds with the same sharding layout).
+// state is one immutable epoch: the workload w and the subdomain index built
+// over it (idx.Workload() is w). Neither is mutated after publication; the
+// commit protocol (mutateCtx) clones both and publishes the clone. opts
+// records the construction options so snapshots round-trip them.
 type state struct {
 	w     *topk.Workload
-	sh    *shard.Set
+	idx   *subdomain.Index
 	opts  IndexOptions
 	epoch uint64
 }
@@ -334,10 +330,7 @@ func NewWithOptions(space Space, objects []Vector, queries []Query, opts IndexOp
 
 // NewWithOptionsCtx is NewWithOptions under a context: when the context
 // carries a Trace, subdomain-index construction records an "index/build"
-// span into it, so tools can profile startup alongside solves. With
-// opts.Shards > 1 the query workload is partitioned across that many shard
-// indexes behind the same facade; results are bit-identical to the
-// unsharded engine at any shard count.
+// span into it, so tools can profile startup alongside solves.
 func NewWithOptionsCtx(ctx context.Context, space Space, objects []Vector, queries []Query, opts IndexOptions) (*System, error) {
 	w, err := topk.NewWorkload(space, objects, queries)
 	if err != nil {
@@ -401,42 +394,19 @@ func (s *System) SolveBatch(items []BatchItem) []BatchResult {
 	return s.SolveBatchCtx(context.Background(), items)
 }
 
-// batchParallelism holds the SolveBatch worker-pool bound; 0 means
-// GOMAXPROCS. See SetBatchParallelism.
-var batchParallelism atomic.Int32
-
-// SetBatchParallelism bounds the worker pool SolveBatch/SolveBatchCtx fan
-// items out on and returns the previous setting. 0 (the default) means
-// GOMAXPROCS; 1 restores the strictly sequential pre-pool behaviour. The
-// knob is global because batches from concurrent callers share the same
-// CPUs; per-solve parallelism is still per-request via Workers.
-func SetBatchParallelism(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(batchParallelism.Swap(int32(n)))
-}
-
-// BatchParallelism reports the current SolveBatch worker-pool bound (0 =
-// GOMAXPROCS).
-func BatchParallelism() int { return int(batchParallelism.Load()) }
-
 // SolveBatchCtx answers several independent improvement queries against a
 // single epoch snapshot: every item sees the same immutable workload/index
 // pair even if writers land mid-batch, and all items share the snapshot's
 // warm threshold cache, so a batch of N solves pays the
-// cold-path cost at most once per distinct target. Items run on a bounded
-// worker pool (SetBatchParallelism; default GOMAXPROCS) with results
+// cold-path cost at most once per distinct target. Items run on a worker
+// pool of GOMAXPROCS goroutines with results
 // delivered in item order regardless of completion order. Per-item failures
 // land in the item's BatchResult; the batch itself never fails. Cancellation
 // marks every not-yet-started item with the translated context error.
 func (s *System) SolveBatchCtx(ctx context.Context, items []BatchItem) []BatchResult {
 	st := s.view()
 	out := make([]BatchResult, len(items))
-	workers := int(batchParallelism.Load())
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(items) {
 		workers = len(items)
 	}
@@ -487,15 +457,9 @@ func (s *System) MinCostMulti(specs []TargetSpec, tau int) (*MultiResult, error)
 }
 
 // MinCostMultiCtx is MinCostMulti under a context; cancellation semantics
-// match MinCostCtx. The combinatorial solvers are not sharded (their subset
-// enumeration is only feasible for tiny inputs anyway); on a sharded System
-// they return an error.
+// match MinCostCtx.
 func (s *System) MinCostMultiCtx(ctx context.Context, specs []TargetSpec, tau int) (*MultiResult, error) {
-	idx, err := s.view().index("MinCostMulti")
-	if err != nil {
-		return nil, err
-	}
-	return core.CombinatorialMinCostIQCtx(ctx, idx, specs, tau)
+	return core.CombinatorialMinCostIQCtx(ctx, s.view().idx, specs, tau)
 }
 
 // MaxHitMulti answers a combinatorial Max-Hit IQ over several targets.
@@ -504,13 +468,9 @@ func (s *System) MaxHitMulti(specs []TargetSpec, budget float64) (*MultiResult, 
 }
 
 // MaxHitMultiCtx is MaxHitMulti under a context; cancellation semantics
-// match MinCostCtx. Unsupported on a sharded System, like MinCostMultiCtx.
+// match MinCostCtx.
 func (s *System) MaxHitMultiCtx(ctx context.Context, specs []TargetSpec, budget float64) (*MultiResult, error) {
-	idx, err := s.view().index("MaxHitMulti")
-	if err != nil {
-		return nil, err
-	}
-	return core.CombinatorialMaxHitIQCtx(ctx, idx, specs, budget)
+	return core.CombinatorialMaxHitIQCtx(ctx, s.view().idx, specs, budget)
 }
 
 // MinCostExhaustive runs the optimal (exponential-time) solver; only
@@ -523,11 +483,7 @@ func (s *System) MinCostExhaustive(req MinCostRequest) (*Result, error) {
 // enumeration aborts when ctx fails. The exponential solver is where a
 // deadline matters most.
 func (s *System) MinCostExhaustiveCtx(ctx context.Context, req MinCostRequest) (*Result, error) {
-	idx, err := s.view().index("MinCostExhaustive")
-	if err != nil {
-		return nil, err
-	}
-	return core.ExhaustiveMinCostCtx(ctx, idx, req)
+	return core.ExhaustiveMinCostCtx(ctx, s.view().idx, req)
 }
 
 // MaxHitExhaustive runs the optimal Max-Hit solver for tiny inputs.
@@ -538,11 +494,7 @@ func (s *System) MaxHitExhaustive(req MaxHitRequest) (*Result, error) {
 // MaxHitExhaustiveCtx is MaxHitExhaustive under a context; cancellation
 // semantics match MinCostExhaustiveCtx.
 func (s *System) MaxHitExhaustiveCtx(ctx context.Context, req MaxHitRequest) (*Result, error) {
-	idx, err := s.view().index("MaxHitExhaustive")
-	if err != nil {
-		return nil, err
-	}
-	return core.ExhaustiveMaxHitCtx(ctx, idx, req)
+	return core.ExhaustiveMaxHitCtx(ctx, s.view().idx, req)
 }
 
 // Hits returns H(p), the number of queries object target currently hits.
@@ -766,10 +718,9 @@ func (s *System) NumQueries() int { return s.view().w.NumQueries() }
 // Attrs returns a copy of an object's current attributes.
 func (s *System) Attrs(id int) Vector { return vec.Clone(s.view().w.Attrs(id)) }
 
-// IndexStats reports the subdomain index footprint; on a sharded System the
-// per-shard footprints are summed.
+// IndexStats reports the subdomain index footprint.
 func (s *System) IndexStats() IndexStats {
-	return s.view().sh.Stats()
+	return s.view().idx.Stats()
 }
 
 // Internal accessors for the benchmark harness and tools.
@@ -782,13 +733,5 @@ func (s *System) Workload() *topk.Workload { return s.view().w }
 
 // Index exposes the current epoch's subdomain index (immutable, like
 // Workload). Callers needing a consistent workload/index pair should use
-// Index().Workload() rather than two separate System calls. On a sharded
-// System there is no single index and Index returns nil; use ShardInfos and
-// IndexStats instead.
-func (s *System) Index() *subdomain.Index {
-	sh := s.view().sh
-	if !sh.Single() {
-		return nil
-	}
-	return sh.Shards[0].Idx
-}
+// Index().Workload() rather than two separate System calls.
+func (s *System) Index() *subdomain.Index { return s.view().idx }

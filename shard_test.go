@@ -1,12 +1,11 @@
 package iq
 
-// Cross-shard correctness property test: the sharded engine must be
-// BIT-identical to the 1-shard oracle — same strategies, costs, hit counts,
+// Parallel-probe correctness property test: a solve with Workers > 1 must be
+// BIT-identical to the serial oracle — same strategies, costs, hit counts,
 // iteration/evaluation counts, assigned indices, error strings, and epochs —
-// at every shard count and worker count, across mutation-interleaved
-// sequences. The test scripts a deterministic workload of solves, reads, and
-// writes, renders every outcome into a transcript, and diffs the transcripts
-// verbatim.
+// across mutation-interleaved sequences. The test scripts a deterministic
+// workload of solves, reads, and writes, renders every outcome into a
+// transcript, and diffs the transcripts verbatim.
 
 import (
 	"bytes"
@@ -22,8 +21,8 @@ import (
 	"iq/internal/vec"
 )
 
-// shardFixtureData generates one seed's deterministic workload.
-func shardFixtureData(seed int64) ([]Vector, []Query) {
+// fixtureData generates one seed's deterministic workload.
+func fixtureData(seed int64) ([]Vector, []Query) {
 	rng := rand.New(rand.NewSource(seed))
 	const n, m = 60, 160
 	objects := make([]Vector, n)
@@ -38,25 +37,23 @@ func shardFixtureData(seed int64) ([]Vector, []Query) {
 	return objects, queries
 }
 
-func newShardFixture(t *testing.T, seed int64, shards int) *System {
+// newFixture builds one seed's System. opts.Shards is ignored by the engine;
+// tests that set it check that it stays ignored.
+func newFixture(t *testing.T, seed int64, opts IndexOptions) *System {
 	t.Helper()
-	objects, queries := shardFixtureData(seed)
-	opts := IndexOptions{}
-	if shards > 1 {
-		opts.Shards = shards
-	}
+	objects, queries := fixtureData(seed)
 	sys, err := NewWithOptions(LinearSpace{D: 3}, objects, queries, opts)
 	if err != nil {
-		t.Fatalf("seed %d shards %d: %v", seed, shards, err)
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 	return sys
 }
 
-// runShardScript drives one System through the scripted solve/mutate
+// runScript drives one System through the scripted solve/mutate
 // sequence and renders every observable outcome. Everything the script does
 // is derived from the seed and from values the System itself returned, so
 // two bit-identical engines produce byte-identical transcripts.
-func runShardScript(t *testing.T, sys *System, seed int64, workers int) []string {
+func runScript(t *testing.T, sys *System, seed int64, workers int) []string {
 	t.Helper()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed * 31))
@@ -134,8 +131,8 @@ func runShardScript(t *testing.T, sys *System, seed int64, workers int) []string
 
 // checkBruteForce recounts a successful solve's BaseHits and Hits over the
 // System's current workload by re-ranking every query (baseline.BruteForce):
-// an oracle independent of ESE and of the solve coordinator, which every
-// shard count shares.
+// an oracle independent of ESE and of the threshold counter every worker
+// count shares.
 func checkBruteForce(t *testing.T, sys *System, tag string, target int, res *Result) {
 	t.Helper()
 	w := sys.Workload()
@@ -155,32 +152,30 @@ func checkBruteForce(t *testing.T, sys *System, tag string, target int, res *Res
 }
 
 // TestShardScriptOneShardWorkers completes the brute-force coverage of the
-// transcript: TestShardedBitIdentity runs it at 1 shard × 1 worker and at
-// 2, 4, and 8 shards × 1 and 4 workers; this adds 1 shard × 4 workers.
-// Skipped in -short mode, which the race pass uses: the transcript already
-// runs 35 times there under TestShardedBitIdentity.
+// transcript: TestShardedBitIdentity runs it serially and at workers
+// {2,4,8} on Systems built with the (ignored) Shards option; this adds 4
+// workers on a System built without it. Skipped in -short mode, which the
+// race pass uses: the transcript already runs 20 times there under
+// TestShardedBitIdentity.
 func TestShardScriptOneShardWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping the extra transcript configuration in -short mode")
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		runShardScript(t, newShardFixture(t, seed, 1), seed, 4)
+		runScript(t, newFixture(t, seed, IndexOptions{}), seed, 4)
 	}
 }
 
-// TestOneShardOwnsWorkload pins the one-shard layout's invariant: its lone
-// index is built over, and mutates, the System's global workload itself, so
-// there is no second copy a mutation could be applied to twice.
+// TestOneShardOwnsWorkload pins the one-index layout's invariant, whatever
+// the Shards option says: the epoch's index is built over, and mutates, the
+// System's workload itself, so there is no second copy a mutation could be
+// applied to twice.
 func TestOneShardOwnsWorkload(t *testing.T) {
-	objects, queries := shardFixtureData(1)
-	sys, err := NewWithOptions(LinearSpace{D: 3}, objects, queries, IndexOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newFixture(t, 1, IndexOptions{Shards: 4})
 	check := func(step string, sys *System) {
 		t.Helper()
 		if sys.Index() == nil || sys.Index().Workload() != sys.Workload() {
-			t.Fatalf("%s: the one shard's index does not hold the global workload", step)
+			t.Fatalf("%s: the index does not hold the System's workload", step)
 		}
 	}
 	check("construction", sys)
@@ -241,72 +236,78 @@ func TestOneShardOwnsWorkload(t *testing.T) {
 	check("Save/Load", got)
 }
 
-// TestShardedBitIdentity is the tentpole property: 5 seeds × shards {2,4,8}
-// × workers {1,4}, every transcript identical to the 1-shard oracle's.
+// TestShardedBitIdentity is the parallel-probe property: 5 seeds × workers
+// {2,4,8}, every transcript identical to the serial oracle's. Each parallel
+// run's System is built with Shards set to its worker count, which the
+// engine ignores, so the test also holds old callers that still set it to
+// the same answers. It runs under -short, so the race pass covers the
+// fan-out's shared slot counter.
 func TestShardedBitIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		oracle := runShardScript(t, newShardFixture(t, seed, 1), seed, 1)
-		for _, shards := range []int{2, 4, 8} {
-			for _, workers := range []int{1, 4} {
-				got := runShardScript(t, newShardFixture(t, seed, shards), seed, workers)
-				if len(got) != len(oracle) {
-					t.Fatalf("seed %d shards %d workers %d: transcript length %d, oracle %d",
-						seed, shards, workers, len(got), len(oracle))
+		oracle := runScript(t, newFixture(t, seed, IndexOptions{}), seed, 1)
+		for _, workers := range []int{2, 4, 8} {
+			got := runScript(t, newFixture(t, seed, IndexOptions{Shards: workers}), seed, workers)
+			if len(got) != len(oracle) {
+				t.Fatalf("seed %d workers %d: transcript length %d, oracle %d",
+					seed, workers, len(got), len(oracle))
+			}
+			for i := range got {
+				if got[i] != oracle[i] {
+					t.Errorf("seed %d workers %d: line %d diverges\n  parallel: %s\n  oracle:   %s",
+						seed, workers, i, got[i], oracle[i])
 				}
-				for i := range got {
-					if got[i] != oracle[i] {
-						t.Errorf("seed %d shards %d workers %d: line %d diverges\n  sharded: %s\n  oracle:  %s",
-							seed, shards, workers, i, got[i], oracle[i])
-					}
-				}
-				if t.Failed() {
-					return // one diverging config prints enough context
-				}
+			}
+			if t.Failed() {
+				return // one diverging config prints enough context
 			}
 		}
 	}
 }
 
 // TestShardedCancellationParity cancels a solve mid-candidate-fan-out via
-// the fault-injection hook: the sharded engine must stop promptly, discard
-// its partial result, and leave the epoch untouched — exactly like the
-// oracle. Probe hooks fire inside the per-shard scatter goroutines, so this
-// also exercises cancellation propagation through the scatter join.
+// the fault-injection hook, on Systems built with and without the (ignored)
+// Shards option and at several worker counts: every solve must stop
+// promptly, discard its partial result, and leave the epoch untouched.
+// Probe hooks fire inside the fan-out's worker goroutines, so this also
+// exercises cancellation propagation through the slot counter.
 func TestShardedCancellationParity(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		sys := newShardFixture(t, 3, shards)
-		epoch := sys.Epoch()
-		ctx, cancel := context.WithCancel(context.Background())
-		var probes atomic.Int32
-		restore := core.SetIterationHook(func(op string, _ int) {
-			if op == "probe" && probes.Add(1) == 40 {
-				cancel()
+	for _, shards := range []int{0, 4} {
+		for _, workers := range []int{1, 2, 4} {
+			sys := newFixture(t, 3, IndexOptions{Shards: shards})
+			epoch := sys.Epoch()
+			ctx, cancel := context.WithCancel(context.Background())
+			var probes atomic.Int32
+			restore := core.SetIterationHook(func(op string, _ int) {
+				if op == "probe" && probes.Add(1) == 40 {
+					cancel()
+				}
+			})
+			h0, err := sys.Hits(0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		h0, err := sys.Hits(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.MinCostCtx(ctx, MinCostRequest{Target: 0, Tau: h0 + 10, Cost: L2Cost{}, Workers: 2})
-		restore()
-		cancel()
-		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards %d: err=%v, want ErrCanceled wrapping context.Canceled", shards, err)
-		}
-		if res != nil {
-			t.Fatalf("shards %d: partial result %+v not discarded", shards, res)
-		}
-		if sys.Epoch() != epoch {
-			t.Fatalf("shards %d: epoch moved %d -> %d on a cancelled solve", shards, epoch, sys.Epoch())
+			res, err := sys.MinCostCtx(ctx, MinCostRequest{Target: 0, Tau: h0 + 10, Cost: L2Cost{}, Workers: workers})
+			restore()
+			cancel()
+			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("shards %d workers %d: err=%v, want ErrCanceled wrapping context.Canceled", shards, workers, err)
+			}
+			if res != nil {
+				t.Fatalf("shards %d workers %d: partial result %+v not discarded", shards, workers, res)
+			}
+			if sys.Epoch() != epoch {
+				t.Fatalf("shards %d workers %d: epoch moved %d -> %d on a cancelled solve", shards, workers, epoch, sys.Epoch())
+			}
 		}
 	}
 }
 
-// TestShardedSnapshotRoundTrip saves a mutated sharded System and reloads
-// it: the snapshot now carries the construction options, so the restored
-// System must come back sharded, at the saved epoch, answering identically.
+// TestShardedSnapshotRoundTrip saves a mutated System built with Shards: 4
+// and reloads it: the snapshot carries the construction options, and the
+// restored System must come back as one index at the saved epoch, answering
+// identically.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
-	sys := newShardFixture(t, 4, 4)
+	sys := newFixture(t, 4, IndexOptions{Shards: 4})
 	if _, err := sys.AddQuery(Query{ID: 901, K: 2, Point: Vector{0.4, 0.3, 0.3}}); err != nil {
 		t.Fatal(err)
 	}
@@ -324,85 +325,92 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shards() != 4 {
-		t.Fatalf("restored Shards() = %d, want 4", got.Shards())
+	if got.Index() == nil || got.IndexStats().Queries != sys.IndexStats().Queries {
+		t.Fatalf("restored index %v with stats %+v, want one index with %+v",
+			got.Index(), got.IndexStats(), sys.IndexStats())
 	}
 	if got.Epoch() != sys.Epoch() {
 		t.Fatalf("restored epoch %d, want %d", got.Epoch(), sys.Epoch())
 	}
-	want, err := sys.MinCost(MinCostRequest{Target: 1, Tau: 8, Cost: L2Cost{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := got.MinCost(MinCostRequest{Target: 1, Tau: 8, Cost: L2Cost{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(want.Strategy) != fmt.Sprint(have.Strategy) || want.Hits != have.Hits {
-		t.Fatalf("restored solve diverges: %v/%d vs %v/%d",
-			have.Strategy, have.Hits, want.Strategy, want.Hits)
+	for _, target := range []int{1, 7, 20} {
+		want, err := sys.MinCost(MinCostRequest{Target: target, Tau: 8, Cost: L2Cost{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		have, err := got.MinCost(MinCostRequest{Target: target, Tau: 8, Cost: L2Cost{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(want.Strategy) != fmt.Sprint(have.Strategy) || want.Hits != have.Hits || want.Cost != have.Cost {
+			t.Fatalf("target %d: restored solve diverges: %v/%d vs %v/%d",
+				target, have.Strategy, have.Hits, want.Strategy, want.Hits)
+		}
 	}
 }
 
-// TestShardedSurface covers the sharded-only facade surface: layout
-// accessors, stats aggregation, batch parallelism knob, and the explicit
-// unsupported-solver errors.
+// TestShardedSurface: a System built with Shards: 4 is one index, so the
+// solvers a sharded engine refused (combinatorial, exhaustive) answer
+// exactly as on a System built without it, and the pooled SolveBatch answers
+// every item in item order, bit-identical to solving the items one by one.
 func TestShardedSurface(t *testing.T) {
-	sys := newShardFixture(t, 2, 4)
-	if got := sys.Shards(); got != 4 {
-		t.Fatalf("Shards() = %d, want 4", got)
+	sys := newFixture(t, 2, IndexOptions{Shards: 4})
+	plain := newFixture(t, 2, IndexOptions{})
+	if st := sys.IndexStats(); st != plain.IndexStats() {
+		t.Fatalf("IndexStats() = %+v, want %+v", st, plain.IndexStats())
 	}
-	infos := sys.ShardInfos()
-	if len(infos) != 4 {
-		t.Fatalf("ShardInfos() has %d entries, want 4", len(infos))
+	specs := []TargetSpec{{Target: 0, Cost: L2Cost{}}, {Target: 3, Cost: L2Cost{}}}
+	multi, err := sys.MinCostMulti(specs, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	totalQ := 0
-	for _, in := range infos {
-		totalQ += in.Queries
+	want, err := plain.MinCostMulti(specs, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if totalQ != sys.NumQueries() {
-		t.Fatalf("shard queries sum to %d, want %d", totalQ, sys.NumQueries())
+	if fmt.Sprint(multi.Strategies, multi.TotalCost, multi.TotalHits) != fmt.Sprint(want.Strategies, want.TotalCost, want.TotalHits) {
+		t.Fatalf("MinCostMulti = %+v, want %+v", multi, want)
 	}
-	if cuts := sys.ShardPlan(); len(cuts) != 3 {
-		t.Fatalf("ShardPlan() = %v, want 3 cuts", cuts)
-	}
-	if sys.Index() != nil {
-		t.Fatal("Index() must be nil on a sharded System")
-	}
-	if st := sys.IndexStats(); st.Queries != sys.NumQueries() {
-		t.Fatalf("IndexStats().Queries = %d, want %d", st.Queries, sys.NumQueries())
-	}
-	if _, err := sys.MinCostMulti([]TargetSpec{{Target: 0, Cost: L2Cost{}}}, 1); err == nil {
-		t.Fatal("MinCostMulti must fail on a sharded System")
-	}
-	if _, err := sys.MaxHitExhaustive(MaxHitRequest{Target: 0, Budget: 1, Cost: L2Cost{}}); err == nil {
-		t.Fatal("MaxHitExhaustive must fail on a sharded System")
-	}
-
-	// Unsharded System reports the degenerate layout.
-	mono := newShardFixture(t, 2, 1)
-	if mono.Shards() != 1 || mono.ShardInfos() != nil || mono.ShardPlan() != nil {
-		t.Fatal("unsharded System must report shards=1 with no layout")
-	}
-
-	// The batch pool answers in item order at any parallelism.
-	items := make([]BatchItem, 8)
-	for i := range items {
-		tau := 1 + i%3
-		items[i] = BatchItem{MinCost: &MinCostRequest{Target: i % 4, Tau: tau, Cost: L2Cost{}}}
-	}
-	prev := SetBatchParallelism(1)
-	seq := sys.SolveBatch(items)
-	SetBatchParallelism(4)
-	par := sys.SolveBatch(items)
-	SetBatchParallelism(prev)
-	for i := range seq {
-		if (seq[i].Err == nil) != (par[i].Err == nil) {
-			t.Fatalf("item %d: sequential err=%v parallel err=%v", i, seq[i].Err, par[i].Err)
+	// The exhaustive solver needs a tiny instance.
+	objects, queries := fixtureData(2)
+	var tiny [2]*System
+	for i, opts := range []IndexOptions{{Shards: 4}, {}} {
+		if tiny[i], err = NewWithOptions(LinearSpace{D: 3}, objects[:8], queries[:10], opts); err != nil {
+			t.Fatal(err)
 		}
-		if seq[i].Err == nil && fmt.Sprint(seq[i].Result.Strategy) != fmt.Sprint(par[i].Result.Strategy) {
-			t.Fatalf("item %d: sequential strategy %v != parallel %v",
-				i, seq[i].Result.Strategy, par[i].Result.Strategy)
+	}
+	ex, err := tiny[0].MaxHitExhaustive(MaxHitRequest{Target: 0, Budget: 0.3, Cost: L2Cost{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exWant, err := tiny[1].MaxHitExhaustive(MaxHitRequest{Target: 0, Budget: 0.3, Cost: L2Cost{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ex.Strategy, ex.Cost, ex.Hits) != fmt.Sprint(exWant.Strategy, exWant.Cost, exWant.Hits) {
+		t.Fatalf("MaxHitExhaustive = %+v, want %+v", ex, exWant)
+	}
+
+	items := make([]BatchItem, 16)
+	for i := range items {
+		items[i] = BatchItem{MinCost: &MinCostRequest{Target: i % 5, Tau: 1 + i%3, Cost: L2Cost{}}}
+	}
+	got := sys.SolveBatch(items)
+	if len(got) != len(items) {
+		t.Fatalf("SolveBatch returned %d results for %d items", len(got), len(items))
+	}
+	for i, it := range items {
+		want, err := sys.MinCostCtx(context.Background(), *it.MinCost)
+		if (err == nil) != (got[i].Err == nil) {
+			t.Fatalf("item %d: pooled err=%v, single err=%v", i, got[i].Err, err)
+		}
+		if err != nil {
+			continue
+		}
+		have := got[i].Result
+		if fmt.Sprint(have.Strategy) != fmt.Sprint(want.Strategy) || have.Cost != want.Cost ||
+			have.Hits != want.Hits || have.Iterations != want.Iterations {
+			t.Fatalf("item %d: pooled %v/%v/%d, single %v/%v/%d",
+				i, have.Strategy, have.Cost, have.Hits, want.Strategy, want.Cost, want.Hits)
 		}
 	}
 }
